@@ -207,6 +207,27 @@ def _run_matrices(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_request(path: str, req) -> None:
+    """Reject a request document whose shape is not {n?: int, t: number, w: [numbers], a?: [numbers]}."""
+    if not isinstance(req, dict):
+        raise ValueError(f"{path}: expected a JSON object with keys n?, t, w, a?")
+    n, t = req.get("n"), req.get("t")
+    if n is not None and not (isinstance(n, int) and not isinstance(n, bool)):
+        raise ValueError(f"{path}: n must be an integer, got {n!r}")
+    if t is not None and not _is_number(t):
+        raise ValueError(f"{path}: t must be a number, got {t!r}")
+    for key in ("w", "a"):
+        state = req.get(key)
+        if state is not None and not (
+            isinstance(state, list) and all(_is_number(v) for v in state)
+        ):
+            raise ValueError(f"{path}: {key} must be a list of numbers, got {state!r}")
+
+
 def _density_request(cfg: RunConfig) -> tuple[int, float, tuple, tuple | None]:
     n, t, w, a = cfg.n, cfg.t, cfg.w, cfg.a
     if cfg.request is not None:
@@ -215,6 +236,7 @@ def _density_request(cfg: RunConfig) -> tuple[int, float, tuple, tuple | None]:
                 req = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{cfg.request}: invalid JSON ({exc})")
+        _check_request(cfg.request, req)
         n = req.get("n", n)
         t = req.get("t", t)
         w = req.get("w", w)

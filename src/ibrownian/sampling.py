@@ -17,14 +17,20 @@ Hilbert-type matrix that defeats floating-point Cholesky well before order
 ten.  This factored root is the only path-sampling route used here.
 
 Seed protocol (part of the external contract): a run is identified by a
-64-bit master seed, and path number i draws exclusively from the numpy
-generator seeded with
+master seed, any non-negative integer, and path number i draws exclusively
+from the numpy generator seeded with
 
     SeedSequence(entropy=master_seed, spawn_key=(i,))
 
 so per-path streams are independent, reproducible, and can be generated in
 any order or in parallel.  Accumulations use exact (compensated) summation,
 making every estimate independent of chunking and worker scheduling.
+
+The samplers do not build that generator once per path.  They compute the
+seeded PCG64 (state, inc) of a whole block of paths with numpy, replaying
+SeedSequence's hash mixing (NEP 19) and PCG64's seeding (O'Neill 2014), and
+load each state into one reused Generator.  path_generator builds the
+stream the direct way and is the bit-level reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -133,11 +139,119 @@ def _validate_w_times(times: np.ndarray) -> None:
         raise ValueError("times must be strictly increasing")
 
 
+# SeedSequence (pool size 4) and PCG64 constants, as published in NEP 19
+# and in O'Neill's PCG reference code.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 1024
+
+
+def _int_words(value: int) -> list[int]:
+    """32-bit words of a non-negative integer, least significant first, as SeedSequence reads it."""
+    return [(value >> shift) & _M32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_words(seed) -> list[np.ndarray]:
+    """Entropy words of a master seed, zero-padded to the pool size of 4."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {seed!r}")
+    if seed < 0:
+        raise ValueError("seed: expected non-negative integer")
+    words = _int_words(int(seed))
+    return [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+
+
+def _generate_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy words).generate_state(8, uint32) for a block of paths.
+
+    entropy[k] holds the k-th uint32 entropy word of every path: shape (1,)
+    for a word all paths share, (paths,) otherwise.  The pool of 4 words is
+    mixed as SeedSequence mixes it; uint32 arithmetic wraps mod 2**32 as the
+    reference does.  Returns the 8 state words, each of shape (paths,).
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _M32
+        value = value * hash_const
+        state.append(value ^ (value >> 16))
+    return state
+
+
+def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
+    """Yield PCG64(SeedSequence(seed, spawn_key=(i,))) as (state, inc) for start <= i < stop.
+
+    States are computed in blocks of at most _SEED_BLOCK paths that never
+    cross a power of 2**32, so every path of a block has as many index words.
+    """
+    while start < stop:
+        n_words = len(_int_words(start))
+        end = min(stop, start + _SEED_BLOCK, 1 << (32 * n_words))
+        index = np.arange(start, end, dtype=object)  # Python ints: indices may pass 2**64
+        index_words = [
+            ((index >> shift) & _M32).astype(np.uint32) for shift in range(0, 32 * n_words, 32)
+        ]
+        state = np.stack(_generate_state(seed_words + index_words), axis=1)
+        # generate_state(4, uint64) pairs the uint32 words little-endian; PCG64
+        # reads the pairs as (high, low) of its initial state and of its
+        # stream selector, then runs srandom: inc = 2 seq + 1, one LCG step
+        # from inc + initstate.
+        for hi, lo, seq_hi, seq_lo in state.astype("<u4").view("<u8").tolist():
+            inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _M128
+            yield ((inc + ((hi << 64) | lo)) * _PCG64_MULT + inc) & _M128, inc
+        start = end
+
+
 def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: int) -> np.ndarray:
+    """Standard normals of paths first_path.., shape (n_paths, steps, width).
+
+    Row i holds the first steps*width normals of path_generator(seed,
+    first_path + i), bit for bit.
+    """
+    if not isinstance(first_path, (int, np.integer)):
+        raise TypeError(f"path index must be an integer, not {first_path!r}")
+    if first_path < 0:
+        raise ValueError("path index must be non-negative")
+    start = int(first_path)
+    states = _pcg64_states(_seed_words(seed), start, start + n_paths)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
     out = np.empty((n_paths, steps, width))
-    for i in range(n_paths):
-        gen = path_generator(seed, first_path + i)
-        out[i] = gen.standard_normal((steps, width))
+    for row, (state, inc) in zip(out, states):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
     return out
 
 

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ibrownian
 from ibrownian.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -102,6 +104,18 @@ class TestDensity:
         code, _, _ = run_cli(capsys, "density", "--t", "1")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "doc", [{"w": 5, "t": 1}, [1, 2], {"w": [1, 2], "t": [1]}],
+        ids=["scalar-w", "top-level-list", "list-t"],
+    )
+    def test_malformed_request_is_domain_error(self, capsys, tmp_path, doc):
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "density", "--request", str(req))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert json.loads(err)["code"] == EXIT_DOMAIN
+
 
 class TestCorrelate:
     def test_csv_table(self, capsys):
@@ -182,6 +196,12 @@ class TestSample:
         code, _, _ = run_cli(capsys, "sample", "--n", "1")
         assert code == EXIT_DOMAIN
 
+    def test_negative_seed_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "1", "--times", "1", "--seed", "-1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "non-negative" in json.loads(err)["error"]
+
     def test_bad_times_is_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "--n", "1", "--times", "2.0,1.0")
         assert code == EXIT_DOMAIN
@@ -242,9 +262,13 @@ class TestPlumbing:
         assert code == EXIT_OK and target.exists()
 
     def test_module_entry_point(self):
+        # The child must import the package under test, also when pytest
+        # put src/ on sys.path itself and PYTHONPATH is unset.
+        src = os.path.dirname(os.path.dirname(ibrownian.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ibrownian", "matrices", "--n", "1", "--which", "a"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entries"] == [["1", "0"], ["-1", "2"]]

@@ -9,6 +9,7 @@ from ibrownian.densities import covariance_r, drift_matrix
 from ibrownian.sampling import (
     MCEstimate,
     PathSample,
+    _path_normals,
     closed_form_quadratic_laplace,
     covariance_root,
     mc_quadratic_laplace,
@@ -46,6 +47,65 @@ class TestSeedProtocol:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             path_generator(1, -1)
+
+
+def reference_normals(seed, first_path, n_paths, count):
+    """The first `count` normals of each path, one path_generator per path."""
+    return np.array([
+        path_generator(seed, i).standard_normal(count)
+        for i in range(first_path, first_path + n_paths)
+    ])
+
+
+class TestBlockSeeding:
+    """The samplers' block seeder against numpy's own per-path seeding."""
+
+    def test_many_consecutive_indices(self):
+        got = _path_normals(20250808, 0, 100_000, 1, 1)[:, 0, 0]
+        assert np.array_equal(got, reference_normals(20250808, 0, 100_000, 1)[:, 0])
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**128, 2**200]
+    )
+    def test_edge_seeds(self, seed):
+        got = _path_normals(seed, 3, 5, 2, 3).reshape(5, 6)
+        assert np.array_equal(got, reference_normals(seed, 3, 5, 6))
+
+    def test_block_across_two_index_words(self):
+        got = _path_normals(7, 2**32 - 3, 7, 1, 2)[:, 0, :]
+        assert np.array_equal(got, reference_normals(7, 2**32 - 3, 7, 2))
+
+    @pytest.mark.parametrize(
+        "seed", [True, np.int64(5), np.uint64(2**64 - 1)], ids=["bool", "int64", "uint64-max"]
+    )
+    def test_numpy_and_bool_seeds_accepted(self, seed):
+        # W_0(1) has unit variance and a root of exactly 1.0, so it is the
+        # path's first normal.
+        w = sample_w_paths(0, (1.0,), 3, seed)[:, 0, 0]
+        assert np.array_equal(w, reference_normals(seed, 0, 3, 1)[:, 0])
+
+    @pytest.mark.parametrize(
+        "seed,first_path,error,match",
+        [
+            (-1, 0, ValueError, "expected non-negative integer"),
+            (np.int64(-1), 0, ValueError, "expected non-negative integer"),
+            (1, -1, ValueError, "non-negative"),
+            (1.5, 0, TypeError, None),
+            ("3", 0, TypeError, None),
+        ],
+    )
+    def test_rejects_what_path_generator_rejects(self, seed, first_path, error, match):
+        with pytest.raises(error):
+            path_generator(seed, first_path)
+        with pytest.raises(error, match=match):
+            sample_w_paths(1, (1.0,), 2, seed, first_path=first_path)
+
+    def test_uneven_batches_concatenate(self):
+        times = (0.5, 1.0)
+        full = sample_w_paths(1, times, 2500, 13, first_path=5)
+        head = sample_w_paths(1, times, 1031, 13, first_path=5)
+        tail = sample_w_paths(1, times, 1469, 13, first_path=1036)
+        assert np.array_equal(full, np.concatenate([head, tail]))
 
 
 class TestCovarianceRoot:
