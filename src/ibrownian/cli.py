@@ -228,6 +228,14 @@ def _check_request(path: str, req) -> None:
             raise ValueError(f"{path}: {key} must be a list of numbers, got {state!r}")
 
 
+def _to_float(name: str, value) -> float:
+    """float(value), with a JSON integer beyond the float range a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
+
+
 def _density_request(cfg: RunConfig) -> tuple[int, float, tuple, tuple | None]:
     n, t, w, a = cfg.n, cfg.t, cfg.w, cfg.a
     if cfg.request is not None:
@@ -243,16 +251,16 @@ def _density_request(cfg: RunConfig) -> tuple[int, float, tuple, tuple | None]:
         a = req.get("a", a)
     if t is None or w is None:
         raise ValueError("density needs --t and --w (or a --request file providing them)")
-    w = tuple(float(v) for v in w)
+    w = tuple(_to_float("w", v) for v in w)
     if n is None:
         n = len(w) - 1
     if len(w) != n + 1:
         raise ValueError(f"state w has {len(w)} components but order {n} needs {n + 1}")
     if a is not None:
-        a = tuple(float(v) for v in a)
+        a = tuple(_to_float("a", v) for v in a)
         if len(a) != len(w):
             raise ValueError("states w and a must have the same length")
-    return n, float(t), w, a
+    return n, _to_float("t", t), w, a
 
 
 def _run_density(cfg: RunConfig) -> int:

@@ -192,12 +192,36 @@ def star_vector(x) -> np.ndarray:
     return xv * signs
 
 
+def _half_quadratic_form(u: np.ndarray, v: np.ndarray | None = None) -> float:
+    """0.5 y' Lambda y for y = A u, or y = A u - A* v, without overflow on the way.
+
+    u and v are first scaled by the power of two that brings their largest
+    entry into [0.5, 1), and the form is scaled back at the end.  Scaling by
+    a power of two is exact, so the bits are those of the unscaled formula
+    whenever that neither overflows nor underflows; when the form itself
+    exceeds the float range the result is inf, so the log density is -inf
+    and the density 0.
+    """
+    n = u.size - 1
+    entries = u.tolist() if v is None else u.tolist() + v.tolist()
+    shift = -math.frexp(max(map(abs, entries)))[1]
+    y = _a_float(n) @ np.ldexp(u, shift)
+    if v is not None:
+        y -= _a_star_float(n) @ np.ldexp(v, shift)
+    try:
+        return math.ldexp(0.5 * float(y @ (_lambda_diag(n) * y)), -2 * shift)
+    except OverflowError:
+        return math.inf
+
+
 def log_stationary_density(x) -> float:
-    """Log joint density of the stationary components (X_0, ..., X_n) at x."""
+    """Log joint density of the stationary components (X_0, ..., X_n) at x.
+
+    A state so large that the quadratic form overflows gives -inf, never a
+    numpy warning.
+    """
     xv = _as_state(x)
-    n = xv.size - 1
-    y = _a_float(n) @ xv
-    return _log_k(n) - 0.5 * float(y @ (_lambda_diag(n) * y))
+    return _log_k(xv.size - 1) - _half_quadratic_form(xv)
 
 
 def stationary_density(x) -> float:
@@ -240,7 +264,8 @@ def log_density_w(w, t: float) -> float:
     """Log density of the integrated-motion state at horizon t.
 
     Evaluated as the stationary log density at the rescaled point
-    xi_k = t^-(k+1/2) w_k, plus the log Jacobian -((n+1)^2/2) log t.
+    xi_k = t^-(k+1/2) w_k, plus the log Jacobian -((n+1)^2/2) log t.  An
+    |w| so large that the quadratic form overflows gives -inf.
     """
     wv = _as_state(w, "state w")
     n = wv.size - 1
@@ -258,7 +283,8 @@ def log_transition_density(w, a, t: float) -> float:
 
     Factored form: with T = T(t), the quadratic form is built from
     y = A T w - A* T a (A* the sign-flipped A), so the polynomial drift
-    never appears explicitly and no covariance is inverted.
+    never appears explicitly and no covariance is inverted.  States so large
+    that the quadratic form overflows give -inf, never a numpy warning.
     """
     wv = _as_state(w, "state w")
     av = _as_state(a, "state a")
@@ -266,11 +292,10 @@ def log_transition_density(w, a, t: float) -> float:
         raise ValueError("states w and a must have the same order")
     n = wv.size - 1
     d = TimeScaling(n, t).diag()
-    y = _a_float(n) @ (d * wv) - _a_star_float(n) @ (d * av)
     return (
         -0.5 * (n + 1) ** 2 * math.log(t)
         + _log_k(n)
-        - 0.5 * float(y @ (_lambda_diag(n) * y))
+        - _half_quadratic_form(d * wv, d * av)
     )
 
 

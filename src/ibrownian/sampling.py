@@ -26,6 +26,15 @@ so per-path streams are independent, reproducible, and can be generated in
 any order or in parallel.  Accumulations use exact (compensated) summation,
 making every estimate independent of chunking and worker scheduling.
 
+Every sampler turns its normals into states with one kernel and no loop
+over time steps.  The drift over a lag h is unit lower-triangular with
+entries h^(m-k)/(m-k)!, so component m of the state is one running sum
+(numpy cumsum) along the path of its innovation plus the drift of the lower
+components, which are computed first.  Each operation is elementwise across
+paths or a running sum along one path, so a path's bits do not depend on
+how the paths are batched: chunk sizes and first_path splits concatenate to
+the same array.
+
 The samplers do not build that generator once per path.  They compute the
 seeded PCG64 (state, inc) of a whole block of paths with numpy, replaying
 SeedSequence's hash mixing (NEP 19) and PCG64's seeding (O'Neill 2014), and
@@ -44,13 +53,14 @@ import numpy as np
 from .densities import (
     _a_inverse_float,
     _check_order,
+    _lambda_diag,
     drift_matrix,
     log_transition_density,
     star_vector,
     TimeScaling,
 )
 
-_LAPLACE_CHUNK = 8192
+_LAPLACE_CHUNK = 1024
 _MAX_LOG_TIME = 700.0  # exp() overflows past this
 
 
@@ -69,15 +79,8 @@ def covariance_root(n: int, t: float) -> np.ndarray:
     floating-point Cholesky of the ill-conditioned covariance itself.
     """
     scale = TimeScaling(n, t).inverse_diag()
-    lam_root = np.sqrt(_lambda_inv(n))
+    lam_root = np.sqrt(1.0 / _lambda_diag(n))
     return scale[:, None] * _a_inverse_float(n) * lam_root[None, :]
-
-
-@lru_cache(maxsize=None)
-def _lambda_inv(n: int) -> np.ndarray:
-    arr = 1.0 / np.arange(1, 2 * n + 2, 2, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,24 +258,50 @@ def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: i
     return out
 
 
-def _combine(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """out[:, j] = sum_k mat[j, k] * arr[:, k], accumulated in fixed k order.
+def _states_from_normals(zs: np.ndarray, h: np.ndarray) -> None:
+    """Turn the normals zs, shape (paths, steps, n+1), into exact states in place.
 
-    Column-at-a-time elementwise arithmetic instead of a BLAS matmul: the
-    result for each path is then bit-identical no matter how paths are
-    batched, which the chunking and regeneration contracts rely on.
+    Step j has length h[j], h[0] being the first time (the step from the
+    zero state), and W_j = B(h_j) W_{j-1} + root(h_j) z_j with root(h) =
+    covariance_root(n, h) and B(h) = drift_matrix(n, h), which is unit
+    lower-triangular.  Two passes, each over one component at a time:
+
+    1. innovations: component m becomes sum_{k<=m} root(h)[m, k] z_k, with
+       the coefficients and the k order of covariance_root times z, so the
+       innovations are bit for bit those of the step-by-step recursion;
+       going from m = n down, every z_k is read before it is overwritten;
+    2. running sums: from m = 0 up, add sum_{k<m} B(h_j)[m, k] W_k[j-1]
+       (the lower components, already states) and take the cumulative sum
+       along the steps, which is the recursion with its additions reordered.
+
+    Component 0 is the running sum of its innovations, as in the step-by-step
+    recursion, bit for bit, and so is every component of a one-step grid.
+    Every operation is elementwise across paths or a running sum along one
+    path, so a path's bits do not depend on how paths are batched.  Memory
+    is zs plus (paths, steps) temporaries (one for n <= 1, two beyond) and
+    (steps,) coefficient vectors.
     """
-    out = np.zeros_like(arr)
-    for j in range(mat.shape[0]):
-        acc = None
-        for k in range(mat.shape[1]):
-            c = mat[j, k]
-            if c != 0.0:
-                term = c * arr[:, k]
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            out[:, j] = acc
-    return out
+    n = zs.shape[2] - 1
+    a_inv = _a_inverse_float(n)
+    lam_root = np.sqrt(1.0 / _lambda_diag(n))
+    for m in range(n, -1, -1):
+        # An exponent array, as covariance_root passes: numpy evaluates a
+        # scalar exponent 0.5 as sqrt, which can differ from pow in the last bit.
+        scale = np.power(h, np.full_like(h, m + 0.5))
+        coef = [(scale * a_inv[m, k]) * lam_root[k] for k in range(m + 1)]
+        e_m = zs[:, :, m]
+        e_m *= coef[m]
+        if m:
+            acc = coef[0] * zs[:, :, 0]
+            for k in range(1, m):
+                acc += coef[k] * zs[:, :, k]
+            e_m += acc
+    drift = {d: np.power(h[1:], d) / math.factorial(d) for d in range(1, n + 1)}
+    for m in range(n + 1):
+        w_m = zs[:, :, m]
+        for k in range(m):
+            w_m[:, 1:] += drift[m - k] * zs[:, :-1, k]
+        np.cumsum(w_m, axis=1, out=w_m)
 
 
 def sample_w_paths(
@@ -289,17 +318,8 @@ def sample_w_paths(
     tgrid = np.asarray(times, dtype=float)
     _validate_w_times(tgrid)
 
-    steps = tgrid.size
-    zs = _path_normals(seed, first_path, n_paths, steps, n + 1)
-    states = np.empty((n_paths, steps, n + 1))
-    states[:, 0, :] = _combine(covariance_root(n, float(tgrid[0])), zs[:, 0, :])
-    prev_t = float(tgrid[0])
-    for j in range(1, steps):
-        dt = float(tgrid[j]) - prev_t
-        b = drift_matrix(n, dt)
-        root = covariance_root(n, dt)
-        states[:, j, :] = _combine(b, states[:, j - 1, :]) + _combine(root, zs[:, j, :])
-        prev_t = float(tgrid[j])
+    states = _path_normals(seed, first_path, n_paths, tgrid.size, n + 1)
+    _states_from_normals(states, np.diff(tgrid, prepend=0.0))
     return states
 
 
@@ -365,24 +385,18 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
 
     Paths of (W_0, W_1) are generated exactly on the uniform grid
     j/grid_size, j = 1..grid_size, with the exact zero state at t = 0
-    supplying the left endpoint of the first trapezoid.
+    supplying the left endpoint of the first trapezoid.  Paths are made
+    _LAPLACE_CHUNK at a time; the chunk size moves memory, never the bits.
     """
     dt = 1.0 / grid_size
-    b = drift_matrix(1, dt)
-    root = covariance_root(1, dt)
+    h = np.full(grid_size, dt)
     out = np.empty(n_paths)
     for start in range(0, n_paths, _LAPLACE_CHUNK):
         m = min(_LAPLACE_CHUNK, n_paths - start)
-        zs = _path_normals(seed, start, m, grid_size, 2)
-        state = np.zeros((m, 2))
-        acc = np.zeros(m)
-        prev_sq = np.zeros(m)
-        for j in range(grid_size):
-            state = _combine(b, state) + _combine(root, zs[:, j, :])
-            cur_sq = state[:, 1] ** 2
-            acc += 0.5 * (prev_sq + cur_sq) * dt
-            prev_sq = cur_sq
-        out[start : start + m] = acc
+        states = _path_normals(seed, start, m, grid_size, 2)
+        _states_from_normals(states, h)
+        sq = np.square(states[:, :, 1])  # contiguous rows: one pairwise sum per path
+        out[start : start + m] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * dt
     out.setflags(write=False)
     return out
 

@@ -4,7 +4,8 @@ Exact linear algebra is redone here from scratch (Gauss-Jordan over
 Fractions) so the library's closed forms are checked against plain
 elimination, and the spectral closed forms are checked against adaptive
 QUADPACK quadrature rather than against the residue calculus they came
-from.
+from.  The samplers' cumulative-sum kernel is checked against the plain
+step-by-step recursion.
 """
 
 from fractions import Fraction
@@ -131,3 +132,39 @@ def gaussian_log_density(w, cov):
         - 0.5 * (math.log(det.numerator) - math.log(det.denominator))
         - 0.5 * float(quad)
     )
+
+
+def sequential_states(n, times, normals):
+    """States from normals by the step-by-step recursion, shape of normals.
+
+    normals has shape (paths, steps, n+1); with h_0 = times[0] (the step
+    from the zero state) and h_j = times[j] - times[j-1],
+
+        W_j = drift_matrix(n, h_j) W_{j-1} + covariance_root(n, h_j) z_j,
+
+    each row summed over columns in increasing order from its first nonzero
+    term.  Plain Python floats (IEEE doubles, one rounding per operation)
+    keep a 1e5-step grid affordable.
+    """
+    from ibrownian.densities import drift_matrix
+    from ibrownian.sampling import covariance_root
+
+    def row_sum(coeffs, x):
+        acc = None
+        for c, v in zip(coeffs, x):
+            if c != 0.0:
+                acc = c * v if acc is None else acc + c * v
+        return acc
+
+    steps = np.diff(np.asarray(times, dtype=float), prepend=0.0).tolist()
+    mats = {
+        h: (drift_matrix(n, h).tolist(), covariance_root(n, h).tolist()) for h in set(steps)
+    }
+    out = np.empty_like(normals)
+    for path, z_path in enumerate(normals.tolist()):
+        prev = [0.0] * (n + 1)
+        for j, (h, z) in enumerate(zip(steps, z_path)):
+            b, root = mats[h]
+            prev = [row_sum(b[m], prev) + row_sum(root[m], z) for m in range(n + 1)]
+            out[path, j] = prev
+    return out

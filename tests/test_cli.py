@@ -117,6 +117,29 @@ class TestDensity:
         assert json.loads(err)["code"] == EXIT_DOMAIN
 
 
+    @pytest.mark.parametrize("key", ["t", "w", "a"])
+    def test_request_number_beyond_float_range_is_domain_error(self, capsys, tmp_path, key):
+        doc = {"t": 1, "w": [0, 0], "a": [0, 0]}
+        doc[key] = 10**400 if key == "t" else [0, 10**400]
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "density", "--request", str(req))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert json.loads(err) == {"error": f"{key} is beyond the float range", "code": EXIT_DOMAIN}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--n", "0", "--t", "1", "--w", "1e200"), ("--t", "1", "--w", "1e200,0", "--a", "0,0")],
+        ids=["stationary-form", "transition-form"],
+    )
+    def test_overflowing_state_is_minus_inf_without_warning(self, capsys, argv):
+        code, out, err = run_cli(capsys, "density", *argv)
+        assert code == EXIT_OK
+        assert err == ""
+        assert json.loads(out) == {"log_density": -math.inf, "density": 0.0}
+
+
 class TestCorrelate:
     def test_csv_table(self, capsys):
         code, out, _ = run_cli(capsys, "correlate", "--n", "1", "--tau-max", "2")

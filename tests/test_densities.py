@@ -215,6 +215,21 @@ class TestStationaryDensity:
         with pytest.raises(ValueError):
             stationary_density([math.nan, 0.0])
 
+    @pytest.mark.parametrize("x", [[1e200], [0.0, 1e308, 1e308], [-1e308, 1e-300, 1e308]])
+    def test_overflowing_state_is_minus_inf(self, x):
+        assert log_stationary_density(x) == -math.inf
+        assert stationary_density(x) == 0.0
+
+    @pytest.mark.parametrize("x", [[0.3, -0.7, 1.1], [1e-160, 2e-160], [3e150, -1e150]])
+    def test_power_of_two_scaling_does_not_move_bits(self, x):
+        # The quadratic form is evaluated at a power-of-two scale, which is
+        # exact: compare with the plain unscaled formula, bit for bit.
+        y = np.array(exact.a_matrix(len(x) - 1), dtype=float) @ np.asarray(x)
+        lam = np.arange(1, 2 * len(x), 2, dtype=float)
+        plain = -0.5 * float(y @ (lam * y))
+        zero = log_stationary_density([0.0] * len(x))
+        assert log_stationary_density(x) == zero + plain
+
 
 class TestConditionalDensity:
     def test_order1_at_origin(self):
@@ -311,6 +326,15 @@ class TestTransitionDensity:
             w, a, t = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.2, 4)
             expected = math.exp(-((w - a) ** 2) / (2 * t)) / math.sqrt(2 * math.pi * t)
             assert transition_density([w], [a], t) == pytest.approx(expected, rel=1e-13)
+
+    def test_states_near_float_range(self):
+        # w is exactly the conditional mean B(1) a, so the form is 0, although
+        # A T w alone overflows; and a start of the same size as w, far from it.
+        big = 1e308
+        at_mean = log_transition_density([big, big], [big, 0.0], 1.0)
+        assert at_mean == log_transition_density([0.0, 0.0], [0.0, 0.0], 1.0)
+        assert log_transition_density([big, big], [big, big], 1.0) == -math.inf
+        assert log_transition_density([1e200, 0.0], [0.0, 0.0], 1.0) == -math.inf
 
     def test_zero_start_reduces_to_marginal(self):
         w = [0.3, -0.6, 0.1]

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ibrownian import sampling
 from ibrownian.densities import covariance_r, drift_matrix
 from ibrownian.sampling import (
     MCEstimate,
     PathSample,
+    _integrated_w1sq,
     _path_normals,
     closed_form_quadratic_laplace,
     covariance_root,
@@ -22,6 +24,8 @@ from ibrownian.sampling import (
 )
 from ibrownian.spectral import cross_correlation
 from ibrownian import verification
+
+from oracles import sequential_states
 
 SMALL_PATHS = 20_000
 
@@ -106,6 +110,76 @@ class TestBlockSeeding:
         head = sample_w_paths(1, times, 1031, 13, first_path=5)
         tail = sample_w_paths(1, times, 1469, 13, first_path=1036)
         assert np.array_equal(full, np.concatenate([head, tail]))
+
+
+# Grids for the kernel-vs-recursion checks: the CLI's `sample --t 10 --grid
+# 20000`, an irregular grid, and 1e5 steps of 2**-10 (one distinct step, so
+# the recursion builds its matrices once).
+KERNEL_GRIDS = {
+    "cli-20000": np.array([10.0 * j / 20_000 for j in range(1, 20_001)]),
+    "random": np.cumsum(np.random.default_rng(2024).exponential(1e-3, 3000)),
+    "1e5-steps": np.arange(1, 100_001) * 2.0**-10,
+}
+KERNEL_RTOL = 1e-12  # of each component's largest magnitude; measured up to 3e-14
+
+
+def assert_matches_recursion(got, ref):
+    """Component 0 bit for bit; the others within KERNEL_RTOL of their scale."""
+    assert np.array_equal(got[..., 0], ref[..., 0])
+    for m in range(1, ref.shape[-1]):
+        scale = np.max(np.abs(ref[..., m]))
+        assert np.max(np.abs(got[..., m] - ref[..., m])) <= KERNEL_RTOL * scale, m
+
+
+class TestStepKernel:
+    """The cumulative-sum kernel against the step-by-step recursion."""
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_matches_recursion(self, n, grid):
+        times = KERNEL_GRIDS[grid]
+        paths = 1 if times.size > 50_000 else 2
+        ref = sequential_states(n, times, _path_normals(17, 4, paths, times.size, n + 1))
+        assert_matches_recursion(sample_w_paths(n, times, paths, 17, first_path=4), ref)
+
+    def test_one_step_grid_is_bit_identical(self):
+        # With one step there is no drift to reorder: every component is the
+        # innovation, summed in covariance_root's column order.
+        ref = sequential_states(5, (0.7,), _path_normals(3, 0, 50, 1, 6))
+        assert np.array_equal(sample_w_paths(5, (0.7,), 50, 3), ref)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_x_paths_match_recursion(self, n):
+        times = np.linspace(-4.0, 3.0, 701)
+        ref = sequential_states(n, np.exp(times), _path_normals(5, 0, 3, times.size, n + 1))
+        ref *= np.exp(-np.multiply.outer(times, np.arange(n + 1) + 0.5))
+        assert_matches_recursion(sample_x_paths(n, times, 3, 5), ref)
+
+    def test_uneven_batches_concatenate(self):
+        times = np.linspace(0.1, 3.0, 40)
+        full = sample_w_paths(2, times, 2500, 21)
+        head = sample_w_paths(2, times, 1031, 21)
+        tail = sample_w_paths(2, times, 1469, 21, first_path=1031)
+        assert np.array_equal(full, np.concatenate([head, tail]))
+
+    def test_laplace_integral_matches_recursion(self):
+        grid = 128
+        states = sequential_states(1, np.arange(1, grid + 1) / grid, _path_normals(9, 0, 4, grid, 2))
+        ref = []
+        for w1 in states[:, :, 1].tolist():
+            acc, prev_sq = 0.0, 0.0
+            for cur in w1:
+                acc += 0.5 * (prev_sq + cur * cur) / grid
+                prev_sq = cur * cur
+            ref.append(acc)
+        got = _integrated_w1sq.__wrapped__(4, grid, 9)
+        assert got == pytest.approx(ref, rel=KERNEL_RTOL, abs=0)
+
+    @pytest.mark.parametrize("chunk", [7, 333, 2500])
+    def test_laplace_chunk_size_does_not_move_bits(self, chunk, monkeypatch):
+        default = _integrated_w1sq.__wrapped__(2500, 128, 9)
+        monkeypatch.setattr(sampling, "_LAPLACE_CHUNK", chunk)
+        assert np.array_equal(_integrated_w1sq.__wrapped__(2500, 128, 9), default)
 
 
 class TestCovarianceRoot:
