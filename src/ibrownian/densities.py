@@ -23,7 +23,6 @@ or t is small.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,20 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
+from .exact import _check_nonnegative
 from .spectral import sigma_sq
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _check_order(n) -> int:
-    """Validate and canonicalize an order to a plain int (numpy ints welcome)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}")
-    return n
 
 
 def _check_time(t: float) -> None:
@@ -123,7 +112,7 @@ class TimeScaling:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _check_order(self.order))
+        object.__setattr__(self, "order", _check_nonnegative(self.order))
         _check_time(self.t)
 
     def diag(self) -> np.ndarray:
@@ -137,7 +126,7 @@ class TimeScaling:
 
 def covariance_r(n: int, t: float) -> np.ndarray:
     """State covariance at horizon t: entries t^(j+k+1)/(j! k! (j+k+1))."""
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     _check_time(t)
     j = np.arange(n + 1)
     fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
@@ -155,7 +144,7 @@ def r_inverse(n: int, t: float) -> np.ndarray:
     two that power and the product are exact, so each entry is the nearest
     double to its exact value.
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     _check_time(t)
     j = np.arange(n + 1)
     return float(t) ** -(j[:, None] + j[None, :] + 1) * _a_lambda_a_float(n)
@@ -168,7 +157,7 @@ def drift_matrix(n: int, t: float) -> np.ndarray:
     later.  Equal to T^-1(t) Gamma T(t) for t > 0, and to the identity at
     t = 0.
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     j = np.arange(n + 1)
     diff = j[:, None] - j[None, :]
     fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
@@ -256,7 +245,7 @@ def normalizing_k(n: int) -> float:
 
     K_n = (2 pi)^-(n+1)/2 sqrt((2n+1)!/(2^n n!)) prod_{m<=n} (2m)!/m!
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     return math.exp(_log_k(n))
 
 

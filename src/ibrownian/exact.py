@@ -16,6 +16,9 @@ does not depend on the size of the realization, so a realization at size N
 is the upper-left block of any larger one.  rho_matrix is the deliberate
 counterexample; its entries change whenever the realization grows.
 
+rho_matrix and mat_mul run in integer arithmetic (binomial sums, and dot
+products over common denominators) and build one Fraction per entry.
+
 Rows and columns are indexed from 0.  A realization "at dimension N" is an
 (N+1) x (N+1) dense list-of-lists.
 """
@@ -40,16 +43,18 @@ def _fact(n: int) -> int:
     return math.factorial(n)
 
 
-def _check_dim(dim) -> int:
+def _check_nonnegative(value, noun: str = "order") -> int:
+    """Validate and canonicalize an order or dimension to a plain int (numpy ints welcome).
+
+    The one validator of the package; `noun` names the quantity in the error.
+    """
     try:
-        dim = operator.index(dim)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(
-            f"matrix dimension must be a non-negative integer, got {dim!r}"
-        ) from None
-    if dim < 0:
-        raise ValueError(f"matrix dimension must be a non-negative integer, got {dim!r}")
-    return dim
+        raise ValueError(f"{noun} must be a non-negative integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{noun} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _lower_triangular_zero(j: int, k: int) -> bool:
@@ -85,7 +90,7 @@ class DimFreeMatrix:
 
     def realize(self, dim: int) -> Matrix:
         """Dense (dim+1) x (dim+1) realization."""
-        dim = _check_dim(dim)
+        dim = _check_nonnegative(dim, "matrix dimension")
         rng = range(dim + 1)
         return [[self.entry(j, k) for k in rng] for j in rng]
 
@@ -116,7 +121,7 @@ RHO_INVERSE = DimFreeMatrix(lambda j, k: Fraction(1, j + k + 1))
 
 
 def identity(dim: int) -> Matrix:
-    dim = _check_dim(dim)
+    dim = _check_nonnegative(dim, "matrix dimension")
     return [[_ONE if j == k else _ZERO for k in range(dim + 1)] for j in range(dim + 1)]
 
 
@@ -138,23 +143,43 @@ def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 
+def _scaled_ints(vectors) -> list[tuple[int, list[int], int, int]]:
+    """Each rational vector over its common denominator.
+
+    Returns (lcm of the denominators, integer numerators over that lcm,
+    first nonzero index, one past the last nonzero index) per vector.
+    """
+    out = []
+    for vec in vectors:
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        nonzero = [k for k, v in enumerate(ints) if v]
+        out.append((scale, ints, nonzero[0], nonzero[-1] + 1) if nonzero else (scale, ints, 0, 0))
+    return out
+
+
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    """Exact matrix product; zero entries are skipped, so triangular
-    arguments cost roughly a sixth of the dense bound."""
+    """Exact matrix product over common denominators.
+
+    Each row of x and each column of y is scaled by the lcm of its
+    denominators, so every entry of the product is one integer dot product
+    and one Fraction.  The dot product runs only where the nonzero spans of
+    the row and the column overlap, so triangular arguments cost roughly a
+    sixth of the dense bound.
+    """
     inner = len(y)
     if any(len(row) != inner for row in x):
         raise ValueError(f"shape mismatch: {len(x)}x{len(x[0])} times {inner}x{len(y[0])}")
-    cols = len(y[0])
+    if any(len(row) != len(y[0]) for row in y):
+        raise ValueError("the right factor's rows differ in length")
+    columns = _scaled_ints(zip(*y))
     out: Matrix = []
-    for xi in x:
-        row = [_ZERO] * cols
-        for k, v in enumerate(xi):
-            if v:
-                yk = y[k]
-                for j in range(cols):
-                    w = yk[j]
-                    if w:
-                        row[j] += v * w
+    for x_scale, xi, x_lo, x_hi in _scaled_ints(x):
+        row = []
+        for y_scale, yj, y_lo, y_hi in columns:
+            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+            dot = sum(map(operator.mul, xi[lo:hi], yj[lo:hi])) if lo < hi else 0
+            row.append(Fraction(dot, x_scale * y_scale) if dot else _ZERO)
         out.append(row)
     return out
 
@@ -208,25 +233,28 @@ def rho_matrix(dim: int) -> Matrix:
                     (j+m)! (k+m)! (2m+1) / ((j!)^2 (k!)^2 (m-j)! (m-k)!)
 
     which is visibly symmetric in (j, k); the inverse of a symmetric matrix
-    has to be.  Unlike the other families here the entries depend on the
-    realization size, so rho_matrix(N) is not a block of rho_matrix(N+1).
-    The same matrix equals D^-1 A' Lambda A D^-1 with D = diag(j!), which is
-    how the floating-point layer factors it.
+    has to be.  Every term is an integer, the binomial form of the inverse
+    Hilbert matrix (M.-D. Choi, "Tricks or Treats with the Hilbert Matrix",
+    Amer. Math. Monthly 90, 1983):
+
+        (2m+1) C(m+j, j) C(m, j) C(m+k, k) C(m, k),
+
+    so the sums run in integers, over the upper triangle only.  Unlike the
+    other families here the entries depend on the realization size, so
+    rho_matrix(N) is not a block of rho_matrix(N+1).  The same matrix equals
+    D^-1 A' Lambda A D^-1 with D = diag(j!), which is how the floating-point
+    layer factors it.
     """
-    dim = _check_dim(dim)
-    out: Matrix = []
-    for j in range(dim + 1):
-        row = []
-        for k in range(dim + 1):
-            den_jk = _fact(j) ** 2 * _fact(k) ** 2
-            acc = Fraction(0)
-            for m in range(max(j, k), dim + 1):
-                acc += Fraction(
-                    _fact(j + m) * _fact(k + m) * (2 * m + 1),
-                    den_jk * _fact(m - j) * _fact(m - k),
-                )
-            row.append(acc if (j + k) % 2 == 0 else -acc)
-        out.append(row)
+    dim = _check_nonnegative(dim, "matrix dimension")
+    size = dim + 1
+    # u[j][m] = C(m+j, j) C(m, j), zero for m < j; w[k][m] = (2m+1) u[k][m].
+    u = [[math.comb(m + j, j) * math.comb(m, j) for m in range(size)] for j in range(size)]
+    w = [[(2 * m + 1) * v for m, v in enumerate(row)] for row in u]
+    out: Matrix = [[_ZERO] * size for _ in range(size)]
+    for j in range(size):
+        for k in range(j, size):
+            acc = sum(map(operator.mul, u[j][k:], w[k][k:]))
+            out[j][k] = out[k][j] = Fraction(-acc if (j + k) % 2 else acc)
     return out
 
 
@@ -246,7 +274,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(obj: dict) -> Matrix:
     """Inverse of matrix_to_json; validates shape against the dim field."""
-    dim = _check_dim(obj["dim"])
+    dim = _check_nonnegative(obj["dim"], "matrix dimension")
     entries = obj["entries"]
     if len(entries) != dim + 1 or any(len(row) != dim + 1 for row in entries):
         raise ValueError("entries shape does not match dim")

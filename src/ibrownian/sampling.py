@@ -52,13 +52,13 @@ import numpy as np
 
 from .densities import (
     _a_inverse_float,
-    _check_order,
     _lambda_diag,
     drift_matrix,
     log_transition_density,
     star_vector,
     TimeScaling,
 )
+from .exact import _check_nonnegative
 
 _LAPLACE_CHUNK = 1024
 _MAX_LOG_TIME = 700.0  # exp() overflows past this
@@ -97,7 +97,7 @@ class PathSample:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _check_order(self.order))
+        object.__setattr__(self, "order", _check_nonnegative(self.order))
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if self.states.shape != (self.times.size, self.order + 1):
@@ -312,7 +312,7 @@ def sample_w_paths(
     Path i uses substream first_path + i of the master seed, so a large run
     can be produced in independent chunks that concatenate exactly.
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     if n_paths < 1:
         raise ValueError("need at least one path")
     tgrid = np.asarray(times, dtype=float)
@@ -354,7 +354,7 @@ def sample_x_paths(
     The integrated motion is sampled on the exponentiated grid and component
     k is scaled by e^{-(k+1/2) t}, which is what makes the result stationary.
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     tgrid = np.asarray(times, dtype=float)
     _validate_x_times(tgrid)
     w = sample_w_paths(n, np.exp(tgrid), n_paths, seed, first_path)
@@ -437,7 +437,7 @@ def mc_transition_symmetry(n: int, trials: int, seed: int) -> dict:
     over lag t, with t log-uniform on [0.1, 10].  Evaluates both sides in
     log space and reports the maximum relative discrepancy of the densities.
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     if n > 6:
         raise ValueError("symmetry probes support order <= 6")
     if trials < 1:

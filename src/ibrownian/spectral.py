@@ -23,16 +23,23 @@ floating point enters the inner-product path.
 
 The same residue sum with the kernel e^{s tau} kept symbolic yields
 closed-form covariance functions: sums of c_m e^{-(m + 1/2)|tau|} terms,
-represented by CorrelationExpansion.
+represented by CorrelationExpansion.  For the cascade pair (H_j, H_k) those
+residues have the explicit form that cross_correlation uses,
+
+    c_m = (-1)^m / ((j - m)! (m + k + 1)!),    m = 0..j,
+
+which is also what integrating the impulse responses term by term gives;
+the residue calculus stays as its oracle and as the inner-product path.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .exact import _check_nonnegative
 
 _HALF = Fraction(1, 2)
 
@@ -97,20 +104,9 @@ class RationalTransfer:
         )
 
 
-def _check_order(n) -> int:
-    """Validate and canonicalize an order to a plain int (numpy ints welcome)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}")
-    return n
-
-
 def transfer_h(n: int) -> RationalTransfer:
     """Cascade filter for component n: poles at 1/2, 3/2, ..., n + 1/2, gain 1."""
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     return RationalTransfer(Fraction(1), (), tuple(half_integer(k) for k in range(n + 1)))
 
 
@@ -119,7 +115,7 @@ def transfer_g(n: int) -> RationalTransfer:
 
     For n = 0 the numerator product is empty and this is just transfer_h(0).
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     return RationalTransfer(
         Fraction(1),
         tuple(half_integer(k) for k in range(n)),
@@ -129,7 +125,7 @@ def transfer_g(n: int) -> RationalTransfer:
 
 def transfer_h_hat(n: int) -> RationalTransfer:
     """Innovation filter: gain n!/(2n)! on the transfer_g(n) pole/zero structure."""
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     g = transfer_g(n)
     return RationalTransfer(
         Fraction(math.factorial(n), math.factorial(2 * n)), g.conj_zeros, g.poles
@@ -231,10 +227,13 @@ class CorrelationExpansion:
                 raise ValueError("decay rates must be positive")
             if len(set(rates)) != len(rates):
                 raise ValueError("decay rates must be distinct")
+        # at() runs once per lag and pair, so the exact terms go to float here, once.
+        for name, side in (("_pos_floats", self.pos_terms), ("_neg_floats", self.neg_terms)):
+            object.__setattr__(self, name, tuple((float(c), float(r)) for c, r in side))
 
     def at(self, tau: float) -> float:
-        side = self.pos_terms if tau >= 0 else self.neg_terms
-        return math.fsum(float(c) * math.exp(-float(r) * abs(tau)) for c, r in side)
+        side = self._pos_floats if tau >= 0 else self._neg_floats
+        return math.fsum(c * math.exp(-r * abs(tau)) for c, r in side)
 
     def at_zero(self) -> Fraction:
         """Exact variance/covariance at lag zero."""
@@ -252,19 +251,34 @@ class CorrelationExpansion:
         return {"terms": side(self.pos_terms), "terms_negative": side(self.neg_terms)}
 
 
+def _closed_form_terms(j: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(coefficient, rate) pairs of E X_j(t) X_k(s) for tau = t - s >= 0.
+
+    Integrating the impulse responses (1/n!) e^{-t/2} (1 - e^{-t})^n term by
+    term gives
+
+        c_jk(tau) = sum over a from 0 to j of
+                    (-1)^a e^{-(a + 1/2) tau} / ((j - a)! (a + k + 1)!),
+
+    which are exactly the left-half-plane residues of H_j conj(H_k), rates
+    ascending; _left_residue_terms computes the same pairs the long way.
+    """
+    return tuple(
+        (Fraction((-1) ** a, math.factorial(j - a) * math.factorial(a + k + 1)), half_integer(a))
+        for a in range(j + 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def cross_correlation(j: int, k: int) -> CorrelationExpansion:
     """Closed-form stationary cross-covariance of components j and k.
 
     The returned expansion evaluates E X_j(t) X_k(s) at tau = t - s.  The
-    tau <= 0 side is the tau >= 0 side of the (k, j) pair, which is how the
-    right-half-plane residues are obtained without a second contour.
+    tau <= 0 side is the tau >= 0 side of the (k, j) pair.
     """
-    j = _check_order(j)
-    k = _check_order(k)
-    pos = tuple(_left_residue_terms(transfer_h(j), transfer_h(k)))
-    neg = tuple(_left_residue_terms(transfer_h(k), transfer_h(j)))
-    return CorrelationExpansion(pos, neg)
+    j = _check_nonnegative(j)
+    k = _check_nonnegative(k)
+    return CorrelationExpansion(_closed_form_terms(j, k), _closed_form_terms(k, j))
 
 
 def sigma_sq(n: int) -> Fraction:
@@ -272,7 +286,7 @@ def sigma_sq(n: int) -> Fraction:
 
     Exactly equals spectral_inner_product(transfer_h_hat(n), transfer_h_hat(n)).
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     c = Fraction(math.factorial(n), math.factorial(2 * n))
     return Fraction(1, 2 * n + 1) * c * c
 
@@ -282,7 +296,7 @@ def impulse_response(n: int, t: float) -> float:
 
     Zero for t < 0; continuous at 0 for n >= 1.
     """
-    n = _check_order(n)
+    n = _check_nonnegative(n)
     if t < 0:
         return 0.0
     return math.exp(-0.5 * t) * (1.0 - math.exp(-t)) ** n / math.factorial(n)

@@ -5,9 +5,13 @@ Fractions) so the library's closed forms are checked against plain
 elimination, and the spectral closed forms are checked against adaptive
 QUADPACK quadrature rather than against the residue calculus they came
 from.  The samplers' cumulative-sum kernel is checked against the plain
-step-by-step recursion.
+step-by-step recursion.  The integer fast paths of the exact layer (rho_matrix,
+mat_mul), the float conversion in CorrelationExpansion and the sample CSV
+writer are checked against the plain Fraction and per-value code they
+replaced.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,8 +104,6 @@ def time_domain_energy(h, epsabs=1e-12):
 
 def fraction_covariance(n, t: Fraction):
     """Exact covariance matrix at a rational horizon t."""
-    import math
-
     return [
         [
             t ** (j + k + 1) / (math.factorial(j) * math.factorial(k) * (j + k + 1))
@@ -117,8 +119,6 @@ def gaussian_log_density(w, cov):
     Inverse and determinant are computed by exact elimination, so the only
     floating point is the final assembly.
     """
-    import math
-
     size = len(cov)
     inv = exact_inverse(cov)
     det = exact_determinant(cov)
@@ -168,3 +168,57 @@ def sequential_states(n, times, normals):
             prev = [row_sum(b[m], prev) + row_sum(root[m], z) for m in range(n + 1)]
             out[path, j] = prev
     return out
+
+
+def rho_matrix_fraction_sum(dim):
+    """Inverse of the Hilbert-type matrix 1/(j+k+1) by its factorial closed form,
+
+        (-1)^(j+k) sum over m >= max(j, k) of
+        (j+m)! (k+m)! (2m+1) / ((j!)^2 (k!)^2 (m-j)! (m-k)!),
+
+    adding one Fraction per term over the whole square.
+    """
+    f = math.factorial
+    out = []
+    for j in range(dim + 1):
+        row = []
+        for k in range(dim + 1):
+            acc = Fraction(0)
+            for m in range(max(j, k), dim + 1):
+                acc += Fraction(
+                    f(j + m) * f(k + m) * (2 * m + 1),
+                    f(j) ** 2 * f(k) ** 2 * f(m - j) * f(m - k),
+                )
+            row.append(acc if (j + k) % 2 == 0 else -acc)
+        out.append(row)
+    return out
+
+
+def mat_mul_fraction_loop(x, y):
+    """Exact matrix product accumulated one Fraction at a time, zeros skipped."""
+    cols = len(y[0])
+    out = []
+    for xi in x:
+        row = [Fraction(0)] * cols
+        for k, v in enumerate(xi):
+            if v:
+                for j in range(cols):
+                    if y[k][j]:
+                        row[j] += v * y[k][j]
+        out.append(row)
+    return out
+
+
+def expansion_at_per_call(expansion, tau):
+    """CorrelationExpansion.at with every exact term converted to float per call."""
+    side = expansion.pos_terms if tau >= 0 else expansion.neg_terms
+    return math.fsum(float(c) * math.exp(-float(r) * abs(tau)) for c, r in side)
+
+
+def sample_csv_per_value(sample):
+    """Sample CSV text with each value converted by repr(float(v)) on its own."""
+    header = "time," + ",".join(f"w{k}" for k in range(sample.order + 1))
+    lines = [header]
+    for t, state in zip(sample.times, sample.states):
+        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in state]))
+    return "\n".join(lines) + "\n"

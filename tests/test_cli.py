@@ -1,11 +1,13 @@
 """CLI surface: subcommands, formats, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ibrownian
@@ -18,7 +20,8 @@ from ibrownian.cli import (
     read_sample_csv,
     write_sample_csv,
 )
-from ibrownian.sampling import sample_w
+from ibrownian.sampling import PathSample, sample_w
+from oracles import sample_csv_per_value
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +212,18 @@ class TestSample:
         text = write_sample_csv(path)
         assert text.startswith("time,w0,w1\n")
 
+    def test_csv_matches_per_value_formatter(self):
+        path = sample_w(2, tuple(10.0 * j / 2000 for j in range(1, 2001)), 1)
+        assert write_sample_csv(path) == sample_csv_per_value(path)
+        edge = [-0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 0.1, 2.0**53 + 2.0]
+        times = np.arange(1.0, len(edge) + 1.0)
+        states = np.array([edge, edge[::-1], [-v for v in edge]]).T.copy()
+        special = PathSample(order=2, times=times, states=states, seed=0)
+        text = write_sample_csv(special)
+        assert text == sample_csv_per_value(special)
+        assert text.split("\n")[1] == "1.0,-0.0,9007199254740994.0,0.0"
+        assert "5e-324" in text and "1e-300" in text and "1e+308" in text
+
     def test_byte_determinism(self, capsys):
         args = ("sample", "--n", "1", "--times", "1.0,2.0", "--seed", "42")
         _, out1, _ = run_cli(capsys, *args)
@@ -234,6 +249,25 @@ class TestSample:
         bad.write_text("time,w0,w9\n1.0,2.0,3.0\n")
         with pytest.raises(ValueError):
             read_sample_csv(str(bad), seed=0)
+
+
+# sha256 of stdout, pinned when the exact layer moved from Fraction sums to
+# integer arithmetic; any byte that moves in these outputs is a regression.
+GOLDEN_STDOUT_SHA256 = {
+    ("matrices", "--n", "40", "--which", "rho"):
+        "e4ea1e54257463dd9c8229032ed819f1e1e833542a7ff1f8fa22fe3630f1671a",
+    ("correlate", "--n", "16", "--tau-max", "4"):
+        "d1039c6af92fa81db49c501a403cdc15e6f41f6e5b9c4db8cf1c5ad81b909ba5",
+    ("correlate", "--n", "16", "--tau-max", "4", "--format", "json"):
+        "08b9ae01f078a852d88139c682d332f393dddf1e1826f1571c50353499ec52be",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout_digest(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
 class TestVerify:

@@ -1,14 +1,18 @@
 """Exact-arithmetic matrix families: pinned values, identities, dimension-freeness."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibrownian.exact as ex
-from oracles import exact_inverse
+from ibrownian import densities, sampling, spectral
+from oracles import exact_inverse, mat_mul_fraction_loop, rho_matrix_fraction_sum
 
 F = Fraction
 
@@ -172,6 +176,85 @@ class TestRho:
         small, big = ex.rho_matrix(2), ex.rho_matrix(3)
         assert any(small[j][k] != big[j][k] for j in range(3) for k in range(3))
 
+    @pytest.mark.parametrize("dim", range(0, 41))
+    def test_integer_form_matches_fraction_sum(self, dim):
+        rho = ex.rho_matrix(dim)
+        assert rho == rho_matrix_fraction_sum(dim)
+        assert all(type(v) is Fraction for row in rho for v in row)
+
+    def test_inverse_pair_at_dim_100(self):
+        rho, rho_inv = ex.rho_matrix(100), ex.rho_inverse_matrix(100)
+        assert ex.mat_mul(rho, rho_inv) == ex.identity(100)
+
+
+def random_rational_matrix(rng, rows, cols, zero_share=0.3):
+    return [
+        [
+            F(0) if rng.random() < zero_share else F(rng.randint(-60, 60), rng.randint(1, 36))
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+class TestMatMul:
+    """The common-denominator product against plain Fraction accumulation."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (6, 1, 4), (2, 7, 7), (8, 8, 8)])
+    def test_random_rational_matches_oracle(self, seed, shape):
+        rows, inner, cols = shape
+        rng = random.Random(1000 * seed + rows * 100 + inner * 10 + cols)
+        x = random_rational_matrix(rng, rows, inner)
+        y = random_rational_matrix(rng, inner, cols)
+        product = ex.mat_mul(x, y)
+        assert product == mat_mul_fraction_loop(x, y)
+        assert all(type(v) is Fraction for row in product for v in row)
+
+    def test_zero_rows_and_columns(self):
+        rng = random.Random(7)
+        x = random_rational_matrix(rng, 5, 6, zero_share=0.0)
+        y = random_rational_matrix(rng, 6, 4, zero_share=0.0)
+        x[2] = [F(0)] * 6
+        for row in y:
+            row[1] = F(0)
+        for k in (0, 5):  # an inner index that is zero in every row of x
+            for row in x:
+                row[k] = F(0)
+        product = ex.mat_mul(x, y)
+        assert product == mat_mul_fraction_loop(x, y)
+        assert product[2] == [0, 0, 0, 0]
+        assert all(row[1] == 0 for row in product)
+
+    def test_all_zero(self):
+        zeros = [[F(0)] * 3 for _ in range(3)]
+        assert ex.mat_mul(zeros, ex.rho_inverse_matrix(2)) == zeros
+        assert ex.mat_mul(ex.rho_inverse_matrix(2), zeros) == zeros
+
+    def test_negative_one_by_one(self):
+        assert ex.mat_mul([[F(-3, 4)]], [[F(-8, 9)]]) == [[F(2, 3)]]
+        assert ex.mat_mul([[F(-3, 4)]], [[F(8, 9)]]) == [[F(-2, 3)]]
+
+    @pytest.mark.parametrize("dim", [3, 12, 30])
+    def test_factorial_families_match_oracle(self, dim):
+        pairs = [
+            (ex.a_matrix(dim), ex.gamma_matrix(dim)),
+            (ex.a_inverse_matrix(dim), ex.star(ex.gamma_matrix(dim))),
+            (ex.rho_matrix(dim), ex.transpose(ex.a_inverse_matrix(dim))),
+        ]
+        for x, y in pairs:
+            assert ex.mat_mul(x, y) == mat_mul_fraction_loop(x, y)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch: 3x3 times 4x4"):
+            ex.mat_mul(ex.gamma_matrix(2), ex.gamma_matrix(3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ex.mat_mul([[F(1), F(2)]], [[F(1), F(2)]])
+
+    def test_ragged_right_factor(self):
+        with pytest.raises(ValueError):
+            ex.mat_mul([[F(1), F(2)]], [[F(1), F(2)], [F(3)]])
+
 
 DIM_FREE_FAMILIES = {
     "gamma": ex.GAMMA,
@@ -206,6 +289,29 @@ class TestValidationAndJson:
     def test_mat_mul_shape_mismatch(self):
         with pytest.raises(ValueError):
             ex.mat_mul(ex.gamma_matrix(2), ex.gamma_matrix(3))
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "2", None])
+    def test_one_validator_names_the_quantity(self, bad):
+        dimension = re.escape(f"matrix dimension must be a non-negative integer, got {bad!r}")
+        order = re.escape(f"order must be a non-negative integer, got {bad!r}")
+        for fn in (ex.rho_matrix, ex.identity):
+            with pytest.raises(ValueError, match=dimension):
+                fn(bad)
+        with pytest.raises(ValueError, match=dimension):
+            ex.matrix_from_json({"dim": bad, "entries": []})
+        for fn in (spectral.transfer_h, spectral.sigma_sq, densities.normalizing_k):
+            with pytest.raises(ValueError, match=order):
+                fn(bad)
+        with pytest.raises(ValueError, match=order):
+            spectral.cross_correlation(0, bad)
+        with pytest.raises(ValueError, match=order):
+            densities.covariance_r(bad, 1.0)
+        with pytest.raises(ValueError, match=order):
+            sampling.sample_w(bad, (1.0,), 0)
+
+    def test_validator_canonicalizes_numpy_ints(self):
+        assert ex.rho_matrix(np.int64(2)) == ex.rho_matrix(2)
+        assert spectral.transfer_h(np.uint8(3)) == spectral.transfer_h(3)
 
     def test_json_round_trip(self):
         m = ex.rho_matrix(2)

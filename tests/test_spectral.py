@@ -8,6 +8,7 @@ import pytest
 
 from ibrownian import exact
 from ibrownian.spectral import (
+    _left_residue_terms,
     CorrelationExpansion,
     RationalTransfer,
     cross_correlation,
@@ -20,6 +21,7 @@ from ibrownian.spectral import (
     transfer_h_hat,
 )
 from oracles import (
+    expansion_at_per_call,
     fourier_pair_quadrature,
     fourier_quadrature,
     inner_product_quadrature,
@@ -230,6 +232,36 @@ class TestCrossCorrelation:
     def test_rates_positive_distinct_enforced(self):
         with pytest.raises(ValueError):
             CorrelationExpansion(((F(1), F(1, 2)), (F(2), F(1, 2))), ())
+
+    def test_closed_form_equals_residue_terms(self):
+        # The closed form and the residue calculus agree term for term, as
+        # Fractions and in order, on both sides of every pair up to order 24.
+        for j in range(25):
+            for k in range(25):
+                expansion = cross_correlation(j, k)
+                assert expansion.pos_terms == tuple(
+                    _left_residue_terms(transfer_h(j), transfer_h(k))
+                ), (j, k)
+                assert expansion.neg_terms == tuple(
+                    _left_residue_terms(transfer_h(k), transfer_h(j))
+                ), (j, k)
+                assert all(type(c) is Fraction and type(r) is Fraction
+                           for c, r in expansion.pos_terms + expansion.neg_terms)
+
+    def test_at_bit_identical_to_per_call_conversion(self):
+        taus = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 5e-324, -5e-324, math.inf, -math.inf]
+        taus += np.linspace(-4.0, 4.0, 81).tolist()
+        for j, k in [(0, 0), (0, 3), (3, 0), (5, 5), (16, 9), (24, 24)]:
+            expansion = cross_correlation(j, k)
+            for tau in taus:
+                assert expansion.at(tau) == expansion_at_per_call(expansion, tau), (j, k, tau)
+                assert math.copysign(1.0, expansion.at(tau)) == math.copysign(
+                    1.0, expansion_at_per_call(expansion, tau)
+                )
+        # an expansion built by hand converts its own terms
+        custom = CorrelationExpansion(((F(-7, 3), F(5, 2)),), ((F(1, 9), F(1, 2)), (F(2), F(3, 2))))
+        for tau in taus:
+            assert custom.at(tau) == expansion_at_per_call(custom, tau)
 
 
 class TestMatrixSpectralConsistency:
