@@ -54,6 +54,12 @@ _MATRIX_BUILDERS = {
 
 CORRELATE_GRID_POINTS = 81
 
+# Largest --n accepted, checked before any work; each finishes in about 10 s
+# on a 2-CPU host (matrices --which rho, the slowest family, at 360: 9.3 s;
+# correlate at 70: 9.5-10.3 s in CSV or JSON).
+MAX_MATRICES_N = 360
+MAX_CORRELATE_N = 70
+
 
 @dataclass
 class RunConfig:
@@ -95,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("matrices", help="dump one exact matrix family as JSON")
-    p.add_argument("--n", type=int, required=True, help="dimension (matrix is (n+1)x(n+1))")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"dimension (matrix is (n+1)x(n+1)), at most {MAX_MATRICES_N}")
     p.add_argument("--which", required=True, choices=sorted(_MATRIX_BUILDERS))
     p.add_argument("--out")
 
@@ -108,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("correlate", help="stationary covariance table over a lag grid")
-    p.add_argument("--n", type=int, required=True, help="largest component order in the table")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"largest component order in the table, at most {MAX_CORRELATE_N}")
     p.add_argument("--tau-max", type=float, required=True, dest="tau_max")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     p.add_argument("--out")
@@ -201,7 +209,13 @@ def read_sample_csv(path: str, seed: int) -> PathSample:
     )
 
 
+def _check_cap(n: int, cap: int, subcommand: str) -> None:
+    if n > cap:
+        raise ValueError(f"{subcommand} accepts --n up to {cap}, got {n}")
+
+
 def _run_matrices(cfg: RunConfig) -> int:
+    _check_cap(cfg.n, MAX_MATRICES_N, "matrices")
     matrix = _MATRIX_BUILDERS[cfg.which](cfg.n)
     _emit(json.dumps(exact.matrix_to_json(matrix), indent=2), cfg.out)
     return EXIT_OK
@@ -281,6 +295,7 @@ def _run_density(cfg: RunConfig) -> int:
 def _run_correlate(cfg: RunConfig) -> int:
     if cfg.n is None or cfg.n < 0:
         raise ValueError("correlate needs --n >= 0")
+    _check_cap(cfg.n, MAX_CORRELATE_N, "correlate")
     if cfg.tau_max is None or not (cfg.tau_max > 0):
         raise ValueError("correlate needs --tau-max > 0")
     pairs = [(j, k) for j in range(cfg.n + 1) for k in range(cfg.n + 1)]

@@ -60,8 +60,11 @@ from .densities import (
 )
 from .exact import _check_nonnegative
 
-_LAPLACE_CHUNK = 1024
-_MAX_LOG_TIME = 700.0  # exp() overflows past this
+# Bytes of normals the Laplace suite holds at once; paths per block follow
+# from the grid, so its memory does not grow with --paths or --grid.
+_LAPLACE_BLOCK_BYTES = 2**21
+# exp() overflows past this; sample_x raises exp(t) to the power k + 1/2.
+_MAX_LOG_TIME = 700.0
 
 
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
@@ -232,11 +235,14 @@ def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
         start = end
 
 
-def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: int) -> np.ndarray:
+def _path_normals(
+    seed: int, first_path: int, n_paths: int, steps: int, width: int, out=None
+) -> np.ndarray:
     """Standard normals of paths first_path.., shape (n_paths, steps, width).
 
     Row i holds the first steps*width normals of path_generator(seed,
-    first_path + i), bit for bit.
+    first_path + i), bit for bit.  The normals are written into `out` when
+    given (a C-contiguous float64 array of that shape), else a new array.
     """
     if not isinstance(first_path, (int, np.integer)):
         raise TypeError(f"path index must be an integer, not {first_path!r}")
@@ -246,7 +252,10 @@ def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: i
     states = _pcg64_states(_seed_words(seed), start, start + n_paths)
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    out = np.empty((n_paths, steps, width))
+    if out is None:
+        out = np.empty((n_paths, steps, width))
+    elif out.shape != (n_paths, steps, width):
+        raise ValueError(f"out has shape {out.shape}, need {(n_paths, steps, width)}")
     for row, (state, inc) in zip(out, states):
         bits.state = {
             "bit_generator": "PCG64",
@@ -335,15 +344,18 @@ def _x_scaling(n: int, times: np.ndarray) -> np.ndarray:
     return np.exp(-np.multiply.outer(times, k + 0.5))
 
 
-def _validate_x_times(times: np.ndarray) -> None:
+def _validate_x_times(n: int, times: np.ndarray) -> None:
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty one-dimensional array")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
-    if times[-1] > _MAX_LOG_TIME:
-        raise ValueError(f"times beyond {_MAX_LOG_TIME} overflow the exponential clock")
+    last_time = _MAX_LOG_TIME / max(1.0, n + 0.5)
+    if times[-1] > last_time:
+        raise ValueError(
+            f"times beyond {last_time:g} overflow the exponential clock at order {n}"
+        )
 
 
 def sample_x_paths(
@@ -353,10 +365,12 @@ def sample_x_paths(
 
     The integrated motion is sampled on the exponentiated grid and component
     k is scaled by e^{-(k+1/2) t}, which is what makes the result stationary.
+    Times beyond 700 / max(1, n + 1/2) raise ValueError: there e^t to the
+    power n + 1/2 overflows.
     """
     n = _check_nonnegative(n)
     tgrid = np.asarray(times, dtype=float)
-    _validate_x_times(tgrid)
+    _validate_x_times(n, tgrid)
     w = sample_w_paths(n, np.exp(tgrid), n_paths, seed, first_path)
     return w * _x_scaling(n, tgrid)[None, :, :]
 
@@ -385,17 +399,28 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
 
     Paths of (W_0, W_1) are generated exactly on the uniform grid
     j/grid_size, j = 1..grid_size, with the exact zero state at t = 0
-    supplying the left endpoint of the first trapezoid.  Paths are made
-    _LAPLACE_CHUNK at a time; the chunk size moves memory, never the bits.
+    supplying the left endpoint of the first trapezoid.
+
+    Paths are made in blocks of max(1, _LAPLACE_BLOCK_BYTES // (16 *
+    grid_size)), so the (block, grid_size, 2) normals fill the byte budget:
+    128 paths at grid 1024, one path beyond grid 131072.  The normals buffer
+    and the (block, grid_size) buffer of squares are allocated once and
+    reused, the last block through a view, so memory is a few budgets for
+    any n_paths and any grid_size up to 131072.  The kernel is
+    batch-invariant, so the block size moves memory, never the bits.
     """
     dt = 1.0 / grid_size
     h = np.full(grid_size, dt)
+    block = min(n_paths, max(1, _LAPLACE_BLOCK_BYTES // (grid_size * 2 * 8)))
+    normals = np.empty((block, grid_size, 2))
+    squares = np.empty((block, grid_size))
     out = np.empty(n_paths)
-    for start in range(0, n_paths, _LAPLACE_CHUNK):
-        m = min(_LAPLACE_CHUNK, n_paths - start)
-        states = _path_normals(seed, start, m, grid_size, 2)
+    for start in range(0, n_paths, block):
+        m = min(block, n_paths - start)
+        states = _path_normals(seed, start, m, grid_size, 2, out=normals[:m])
         _states_from_normals(states, h)
-        sq = np.square(states[:, :, 1])  # contiguous rows: one pairwise sum per path
+        # Contiguous rows: one pairwise sum per path.
+        sq = np.square(states[:, :, 1], out=squares[:m])
         out[start : start + m] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * dt
     out.setflags(write=False)
     return out

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 import ibrownian
+from ibrownian import cli
 from ibrownian.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CORRELATE_N,
+    MAX_MATRICES_N,
     main,
     read_sample_csv,
     write_sample_csv,
@@ -62,6 +65,48 @@ class TestMatrices:
         code, out, _ = run_cli(capsys, "matrices", "--n", "1", "--which", "a", "--out", str(target))
         assert code == EXIT_OK and out == ""
         assert json.loads(target.read_text())["entries"] == [["1", "0"], ["-1", "2"]]
+
+
+def _must_not_be_called(*args):
+    raise AssertionError("work started for an --n over the cap")
+
+
+class TestInputCaps:
+    @pytest.mark.parametrize("which", ["rho", "a-inverse"])
+    def test_matrices_over_cap_exits_before_building(self, capsys, monkeypatch, which):
+        monkeypatch.setitem(cli._MATRIX_BUILDERS, which, _must_not_be_called)
+        code, out, err = run_cli(
+            capsys, "matrices", "--n", str(MAX_MATRICES_N + 1), "--which", which
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+        assert str(MAX_MATRICES_N) in json.loads(line)["error"]
+
+    def test_matrices_at_cap_is_accepted(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setitem(cli._MATRIX_BUILDERS, "rho", lambda n: built.append(n) or [[1]])
+        code, _, err = run_cli(capsys, "matrices", "--n", str(MAX_MATRICES_N), "--which", "rho")
+        assert code == EXIT_OK and err == "" and built == [MAX_MATRICES_N]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_correlate_over_cap_exits_before_any_expansion(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "cross_correlation", _must_not_be_called)
+        code, out, err = run_cli(
+            capsys, "correlate", "--n", str(MAX_CORRELATE_N + 1), "--tau-max", "4",
+            "--format", fmt,
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+        assert str(MAX_CORRELATE_N) in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("subcommand,cap", [
+        ("matrices", MAX_MATRICES_N), ("correlate", MAX_CORRELATE_N),
+    ])
+    def test_cap_is_in_help(self, capsys, subcommand, cap):
+        assert main([subcommand, "--help"]) == EXIT_OK
+        assert f"at most {cap}" in " ".join(capsys.readouterr().out.split())
 
 
 class TestDensity:
@@ -260,6 +305,10 @@ GOLDEN_STDOUT_SHA256 = {
         "d1039c6af92fa81db49c501a403cdc15e6f41f6e5b9c4db8cf1c5ad81b909ba5",
     ("correlate", "--n", "16", "--tau-max", "4", "--format", "json"):
         "08b9ae01f078a852d88139c682d332f393dddf1e1826f1571c50353499ec52be",
+    ("verify", "--suite", "all", "--paths", "2000", "--seed", "1"):
+        "f2f04cf26c185c48556aa20b21c49c3fb9ba4f305866dc079bbbd66b2cb0d446",
+    ("sample", "--n", "2", "--t", "10", "--grid", "2000", "--seed", "1"):
+        "a6ab885a5bf5100e327bdffa81454d7fbe1d02cf6512b1545fb081a78e78eed6",
 }
 
 

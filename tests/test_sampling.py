@@ -1,6 +1,7 @@
 """Exact samplers and Monte Carlo estimators: law checks with 3-SE bands."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,11 +176,34 @@ class TestStepKernel:
         got = _integrated_w1sq.__wrapped__(4, grid, 9)
         assert got == pytest.approx(ref, rel=KERNEL_RTOL, abs=0)
 
-    @pytest.mark.parametrize("chunk", [7, 333, 2500])
-    def test_laplace_chunk_size_does_not_move_bits(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("paths_per_block", [1, 7, 333, 2500])
+    def test_laplace_chunk_size_does_not_move_bits(self, paths_per_block, monkeypatch):
         default = _integrated_w1sq.__wrapped__(2500, 128, 9)
-        monkeypatch.setattr(sampling, "_LAPLACE_CHUNK", chunk)
+        monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", paths_per_block * 128 * 2 * 8)
         assert np.array_equal(_integrated_w1sq.__wrapped__(2500, 128, 9), default)
+
+    def test_laplace_grid_beyond_budget_keeps_bits(self, monkeypatch):
+        grid = sampling._LAPLACE_BLOCK_BYTES // 16 + 1  # one path per block
+        one_per_block = _integrated_w1sq.__wrapped__(3, grid, 9)
+        monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", 3 * grid * 16)
+        assert np.array_equal(_integrated_w1sq.__wrapped__(3, grid, 9), one_per_block)
+
+    def test_laplace_memory_is_bounded_by_the_block_budget(self):
+        _integrated_w1sq.__wrapped__(2, 128, 9)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            _integrated_w1sq.__wrapped__(300, 4096, 9)  # 19.7 MB of normals in all
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sampling._LAPLACE_BLOCK_BYTES
+
+    def test_path_normals_fills_out(self):
+        buf = np.empty((5, 3, 2))
+        assert _path_normals(4, 2, 5, 3, 2, out=buf) is buf
+        assert np.array_equal(buf, _path_normals(4, 2, 5, 3, 2))
+        with pytest.raises(ValueError, match="shape"):
+            _path_normals(4, 2, 5, 3, 2, out=np.empty((4, 3, 2)))
 
 
 class TestCovarianceRoot:
@@ -291,6 +315,16 @@ class TestSampleX:
             sample_x(1, (1.0, 0.5), 0)
         with pytest.raises(ValueError):
             sample_x(1, (0.0, 800.0), 0)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_finite_up_to_the_last_time_and_rejected_past_it(self, n):
+        # e^t is raised to the power k + 1/2, so the last accepted time is
+        # 700 / max(1, n + 1/2); pytest turns an overflow warning into a failure.
+        last = 700.0 / max(1.0, n + 0.5)
+        for times in [(0.0, last), np.linspace(-5.0, last, 50), (last - 1e-6, last)]:
+            assert np.all(np.isfinite(sample_x_paths(n, times, 20, 3)))
+        with pytest.raises(ValueError, match="overflow the exponential clock"):
+            sample_x(n, (0.0, 1.02 * last), 0)
 
 
 class TestQuadraticLaplace:
