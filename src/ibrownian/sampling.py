@@ -37,13 +37,16 @@ the same array.
 
 The samplers do not build that generator once per path.  They compute the
 seeded PCG64 (state, inc) of a whole block of paths with numpy, replaying
-SeedSequence's hash mixing (NEP 19) and PCG64's seeding (O'Neill 2014), and
-load each state into one reused Generator.  path_generator builds the
-stream the direct way and is the bit-level reference the tests compare with.
+SeedSequence's hash mixing (NEP 19) and PCG64's seeding (O'Neill 2014) in
+32-bit limbs, and copy each path's 32 bytes into the C state of one reused
+PCG64, found through BitGenerator.ctypes; a probe checks that state's
+layout once per process.  path_generator builds the stream the direct way
+and is the bit-level reference the tests compare with.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -148,11 +151,11 @@ def _validate_w_times(times: np.ndarray) -> None:
 # SeedSequence (pool size 4) and PCG64 constants, as published in NEP 19
 # and in O'Neill's PCG reference code.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_LIMBS = [(_PCG64_MULT >> shift) & _M32 for shift in range(0, 128, 32)]
 _SEED_BLOCK = 1024
 
 
@@ -211,28 +214,102 @@ def _generate_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return state
 
 
-def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
-    """Yield PCG64(SeedSequence(seed, spawn_key=(i,))) as (state, inc) for start <= i < stop.
+def _pcg64_srandom(init: list[np.ndarray], seq: list[np.ndarray]) -> np.ndarray:
+    """PCG64's srandom for a block of paths: inc = 2 seq + 1 and
+    state = (inc + init) MULT + inc, mod 2**128.
 
-    States are computed in blocks of at most _SEED_BLOCK paths that never
-    cross a power of 2**32, so every path of a block has as many index words.
+    init and seq are 128-bit numbers as 4 limbs of 32 bits, least
+    significant first, each limb a uint64 array of one value per path.
+    Limbs stay below 2**32 between steps, so no uint64 operation wraps.
+    Returns a (paths, 4) uint64 array: state low, state high, inc low, inc
+    high.
+    """
+    inc = [((seq[k] << 1) | (seq[k - 1] >> 31 if k else 1)) & _M32 for k in range(4)]
+    base = _carry([i + x for i, x in zip(inc, init)])
+    # base * MULT mod 2**128: a limb product is below 2**64, so its low and
+    # high halves go to two columns; a column sums at most 7 halves.
+    cols = [0] * 4
+    for i in range(4):
+        for j in range(4 - i):
+            prod = base[i] * _PCG64_MULT_LIMBS[j]
+            cols[i + j] = cols[i + j] + (prod & _M32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
+    state = _carry([c + i for c, i in zip(_carry(cols), inc)])
+    limbs = state + inc
+    return np.stack([lo | (hi << 32) for lo, hi in zip(limbs[::2], limbs[1::2])], axis=1)
+
+
+def _carry(limbs: list) -> list:
+    """Limbs below 2**63 each, carried into 32-bit limbs of the same number mod 2**128."""
+    out, carry = [], 0
+    for limb in limbs:
+        limb = limb + carry
+        out.append(limb & _M32)
+        carry = limb >> 32
+    return out
+
+
+def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
+    """Yield PCG64(SeedSequence(seed, spawn_key=(i,))) for start <= i < stop as
+    (paths, 4) uint64 blocks of (state low, state high, inc low, inc high).
+
+    Blocks hold at most _SEED_BLOCK paths and never cross a power of 2**32,
+    so every path of a block has as many index words, and all but the
+    lowest are shared.
     """
     while start < stop:
-        n_words = len(_int_words(start))
-        end = min(stop, start + _SEED_BLOCK, 1 << (32 * n_words))
-        index = np.arange(start, end, dtype=object)  # Python ints: indices may pass 2**64
-        index_words = [
-            ((index >> shift) & _M32).astype(np.uint32) for shift in range(0, 32 * n_words, 32)
-        ]
-        state = np.stack(_generate_state(seed_words + index_words), axis=1)
+        index_words = _int_words(start)
+        end = min(stop, start + _SEED_BLOCK, 1 << (32 * len(index_words)))
+        low = np.arange(index_words[0], index_words[0] + end - start, dtype=np.uint64)
+        shared = [np.array([w], dtype=np.uint32) for w in index_words[1:]]
+        entropy = seed_words + [low.astype(np.uint32)] + shared
+        w = [word.astype(np.uint64) for word in _generate_state(entropy)]
         # generate_state(4, uint64) pairs the uint32 words little-endian; PCG64
         # reads the pairs as (high, low) of its initial state and of its
-        # stream selector, then runs srandom: inc = 2 seq + 1, one LCG step
-        # from inc + initstate.
-        for hi, lo, seq_hi, seq_lo in state.astype("<u4").view("<u8").tolist():
-            inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _M128
-            yield ((inc + ((hi << 64) | lo)) * _PCG64_MULT + inc) & _M128, inc
+        # stream selector.
+        yield _pcg64_srandom([w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]])
         start = end
+
+
+def _pcg64_words(bits: np.random.PCG64):
+    """The {state, inc} words of a PCG64, as 4 c_uint64 over its C struct.
+
+    BitGenerator.ctypes.state_address is numpy's pcg64_state, whose first
+    field points to the pcg64_random_t that holds state and inc.
+    """
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    return (ctypes.c_uint64 * 4).from_address(address)
+
+
+@lru_cache(maxsize=None)
+def _pcg64_word_order() -> tuple[int, ...]:
+    """Columns of _pcg64_states' blocks in the order PCG64's C struct holds them.
+
+    numpy stores a 128-bit PCG word as a native __uint128_t (low word
+    first) or, without compiler support, as a struct {high, low}.  A known
+    state set through the public setter and read back tells which; any
+    other layout is an error, not a fallback.  The probe also checks that
+    standard_normal leaves no buffered 32-bit half (has_uint32) behind, so
+    a path's normals depend on (state, inc) alone.
+    """
+    bits = np.random.PCG64(0)
+    words = (1, 2, 3, 5)  # state low, state high, inc low, inc high; inc odd
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": words[1] << 64 | words[0], "inc": words[3] << 64 | words[2]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    got = list(_pcg64_words(bits))
+    np.random.Generator(bits).standard_normal(3)
+    for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        if got == [words[k] for k in order] and not bits.state["has_uint32"]:
+            return order
+    raise RuntimeError(
+        f"unknown PCG64 state layout in numpy {np.__version__}: words {words} read back "
+        f"as {got}, has_uint32 {bits.state['has_uint32']}; path streams cannot be loaded"
+    )
 
 
 def _path_normals(
@@ -243,27 +320,31 @@ def _path_normals(
     Row i holds the first steps*width normals of path_generator(seed,
     first_path + i), bit for bit.  The normals are written into `out` when
     given (a C-contiguous float64 array of that shape), else a new array.
+    Each path's (state, inc) is copied into one reused PCG64 as 32 bytes,
+    in the word order _pcg64_word_order found; a memoryview slice copy
+    costs a third of a ctypes.memmove call.
     """
     if not isinstance(first_path, (int, np.integer)):
         raise TypeError(f"path index must be an integer, not {first_path!r}")
     if first_path < 0:
         raise ValueError("path index must be non-negative")
     start = int(first_path)
-    states = _pcg64_states(_seed_words(seed), start, start + n_paths)
+    blocks = _pcg64_states(_seed_words(seed), start, start + n_paths)
+    order = _pcg64_word_order()
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
+    state = memoryview(_pcg64_words(bits)).cast("B")
     if out is None:
         out = np.empty((n_paths, steps, width))
     elif out.shape != (n_paths, steps, width):
         raise ValueError(f"out has shape {out.shape}, need {(n_paths, steps, width)}")
-    for row, (state, inc) in zip(out, states):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=row)
+    rows = iter(out)
+    for words in blocks:
+        src = memoryview(np.ascontiguousarray(words[:, order])).cast("B")
+        # range first: zip stops there without taking a row of the next block.
+        for offset, row in zip(range(0, len(src), 32), rows):
+            state[:] = src[offset : offset + 32]
+            gen.standard_normal(out=row)
     return out
 
 
@@ -444,7 +525,7 @@ def mc_quadratic_laplace(
     q = _integrated_w1sq(n_paths, grid_size, seed)
     vals = np.exp(-(theta * theta / 2.0) * q)
     mean = math.fsum(vals) / n_paths
-    var = math.fsum((v - mean) ** 2 for v in vals) / (n_paths - 1)
+    var = math.fsum(np.square(vals - mean).tolist()) / (n_paths - 1)
     return MCEstimate(
         mean=mean,
         std_error=math.sqrt(var / n_paths),

@@ -24,6 +24,7 @@ from ibrownian.cli import (
     write_sample_csv,
 )
 from ibrownian.sampling import PathSample, sample_w
+from ibrownian.spectral import cross_correlation
 from oracles import sample_csv_per_value
 
 
@@ -31,6 +32,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m ibrownian ARGV` in a fresh interpreter, stdout and stderr as bytes.
+
+    The child imports the package under test, also when pytest put src/ on
+    sys.path itself and PYTHONPATH is unset.
+    """
+    src = os.path.dirname(os.path.dirname(ibrownian.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop(cli.OUT_DIR_ENV, None)
+    return subprocess.run(
+        [sys.executable, "-m", "ibrownian", *argv], capture_output=True, timeout=120, env=env
+    )
 
 
 class TestMatrices:
@@ -218,6 +234,20 @@ class TestCorrelate:
         assert pair00["j"] == 0 and pair00["k"] == 0
         assert pair00["terms"] == [{"coeff": 1.0, "rate": "1/2"}]
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    @pytest.mark.parametrize("write_chars", [1, 700, cli._WRITE_CHARS])
+    def test_json_is_the_whole_document_dump(self, capsys, tmp_path, monkeypatch, n, write_chars):
+        # Pairs are encoded and written in batches; the bytes are those of
+        # one json.dumps of the whole document, on stdout and in a file.
+        monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
+        pairs = [{"j": j, "k": k, **cross_correlation(j, k).to_json_dict()}
+                 for j in range(n + 1) for k in range(n + 1)]
+        whole = json.dumps({"order": n, "pairs": pairs}, indent=2)
+        argv = ("correlate", "--n", str(n), "--tau-max", "1", "--format", "json")
+        assert run_cli(capsys, *argv) == (EXIT_OK, whole + "\n", "")
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "c.json"))[0] == EXIT_OK
+        assert (tmp_path / "c.json").read_text(encoding="utf-8") == whole
+
     def test_bad_tau_max(self, capsys):
         code, _, _ = run_cli(capsys, "correlate", "--n", "1", "--tau-max", "0")
         assert code == EXIT_DOMAIN
@@ -268,6 +298,13 @@ class TestSample:
         assert text == sample_csv_per_value(special)
         assert text.split("\n")[1] == "1.0,-0.0,9007199254740994.0,0.0"
         assert "5e-324" in text and "1e-300" in text and "1e+308" in text
+
+    @pytest.mark.parametrize("write_chars", [1, 100])
+    def test_batched_write_keeps_the_final_newline(self, capsys, monkeypatch, write_chars):
+        args = ("sample", "--n", "1", "--times", "0.5,1.0", "--seed", "3")
+        whole = run_cli(capsys, *args)
+        monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
+        assert run_cli(capsys, *args) == whole
 
     def test_byte_determinism(self, capsys):
         args = ("sample", "--n", "1", "--times", "1.0,2.0", "--seed", "42")
@@ -368,16 +405,33 @@ class TestPlumbing:
         assert code == EXIT_OK and target.exists()
 
     def test_module_entry_point(self):
-        # The child must import the package under test, also when pytest
-        # put src/ on sys.path itself and PYTHONPATH is unset.
-        src = os.path.dirname(os.path.dirname(ibrownian.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ibrownian", "matrices", "--n", "1", "--which", "a"],
-            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_module("matrices", "--n", "1", "--which", "a")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entries"] == [["1", "0"], ["-1", "2"]]
+
+    @pytest.mark.parametrize(
+        "argv,newline",
+        [
+            (("sample", "--n", "2", "--t", "3", "--grid", "500", "--seed", "4"), b""),
+            # The JSON report has no final newline; stdout adds one.
+            (("verify", "--suite", "all", "--paths", "2000", "--seed", "6"), b"\n"),
+        ],
+        ids=["sample", "verify"],
+    )
+    def test_out_file_holds_what_stdout_prints(self, tmp_path, argv, newline):
+        # main() freezes the collector; the exit must still flush every byte,
+        # to a pipe (block-buffered stdout) and to a file.
+        printed = run_module(*argv)
+        written = run_module(*argv, "--out", str(tmp_path / "out"))
+        assert printed.returncode == written.returncode
+        assert printed.stderr == written.stderr == b"" and written.stdout == b""
+        assert printed.stdout == (tmp_path / "out").read_bytes() + newline
+
+    def test_domain_error_is_one_json_line_on_stderr(self):
+        proc = run_module("density", "--t", "-1", "--w", "0")
+        assert proc.returncode == EXIT_DOMAIN and proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["code"] == EXIT_DOMAIN
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -1,6 +1,8 @@
 """Exact samplers and Monte Carlo estimators: law checks with 3-SE bands."""
 
+import ctypes
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -112,6 +114,70 @@ class TestBlockSeeding:
         tail = sample_w_paths(1, times, 1469, 13, first_path=1036)
         assert np.array_equal(full, np.concatenate([head, tail]))
 
+
+
+M32, M64, M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def srandom_reference(init, seq):
+    """PCG64's srandom in Python ints: (state low, state high, inc low, inc high)."""
+    inc = (seq << 1 | 1) & M128
+    state = ((inc + init) * PCG64_MULT + inc) & M128
+    return [state & M64, state >> 64, inc & M64, inc >> 64]
+
+
+def as_limbs(values):
+    """128-bit ints as 4 uint64 arrays of 32-bit limbs, least significant first."""
+    return [np.array([(v >> s) & M32 for v in values], dtype=np.uint64) for s in range(0, 128, 32)]
+
+
+class TestStreamLoading:
+    """PCG64 seeding in 32-bit limbs and the write into the C struct."""
+
+    def check_srandom(self, inits, seqs):
+        got = sampling._pcg64_srandom(as_limbs(inits), as_limbs(seqs))
+        assert got.dtype == np.uint64 and got.shape == (len(inits), 4)
+        assert got.tolist() == [srandom_reference(i, q) for i, q in zip(inits, seqs)]
+
+    def test_srandom_random_inputs(self):
+        rng = np.random.default_rng(11)
+        words = rng.integers(0, 2**32, size=(2, 5000, 4), dtype=np.uint64).tolist()
+        inits, seqs = (
+            [sum(w << (32 * k) for k, w in enumerate(row)) for row in side] for side in words
+        )
+        self.check_srandom(inits, seqs)
+
+    def test_srandom_carry_chains(self):
+        inv = pow(PCG64_MULT, -1, 2**128)
+        edges = [0, 1, M32, 2**32, M64, 2**64, 2**96 - 1, 2**127, M128, PCG64_MULT, inv]
+        inits = [a for a in edges for _ in edges]
+        seqs = [b for _ in edges for b in edges]
+        # inc + init at 0, at all ones and at MULT's inverse (state = 1 + inc).
+        for seq in edges:
+            inc = (seq << 1 | 1) & M128
+            for base in (0, M128, inv, PCG64_MULT):
+                inits.append((base - inc) & M128)
+                seqs.append(seq)
+        self.check_srandom(inits, seqs)
+
+    def test_probe_finds_the_layout_of_this_numpy(self):
+        assert sampling._pcg64_word_order() in ((0, 1, 2, 3), (1, 0, 3, 2))
+
+    def test_probe_rejects_an_unknown_layout(self, monkeypatch):
+        garbage = (ctypes.c_uint64 * 4)(7, 7, 7, 7)
+        monkeypatch.setattr(sampling, "_pcg64_words", lambda bits: garbage)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
+            sampling._pcg64_word_order.__wrapped__()
+
+    def test_loaded_stream_has_the_seeded_state(self):
+        # The words written into the struct read back through the public
+        # getter as the state path_generator seeds.
+        bits = np.random.PCG64(0)
+        words = next(sampling._pcg64_states(sampling._seed_words(2**70 + 3), 2**32 - 1, 2**32))
+        words = np.ascontiguousarray(words[:, sampling._pcg64_word_order()])
+        memoryview(sampling._pcg64_words(bits)).cast("B")[:] = memoryview(words).cast("B")
+        assert bits.state == path_generator(2**70 + 3, 2**32 - 1).bit_generator.state
 
 # Grids for the kernel-vs-recursion checks: the CLI's `sample --t 10 --grid
 # 20000`, an irregular grid, and 1e5 steps of 2**-10 (one distinct step, so
@@ -343,6 +409,18 @@ class TestQuadraticLaplace:
             mc_quadratic_laplace(1.0, 1, 128, 0)
         with pytest.raises(ValueError):
             MCEstimate(0.5, 0.01, 1, 128, 0)
+
+    @pytest.mark.parametrize(
+        "n_paths,seed", [(2, 0), (3, 1), (17, 5), (1000, 7), (5000, 2**40)]
+    )
+    def test_variance_matches_scalar_form(self, n_paths, seed):
+        # The estimator sums squared deviations from one array; the bits are
+        # those of squaring each numpy scalar deviation.
+        est = mc_quadratic_laplace(1.5, n_paths, 100, seed)
+        vals = np.exp(-(1.5 * 1.5 / 2.0) * _integrated_w1sq(n_paths, 100, seed))
+        mean = math.fsum(vals) / n_paths
+        var = math.fsum((v - mean) ** 2 for v in vals) / (n_paths - 1)
+        assert est.mean == mean and est.std_error == math.sqrt(var / n_paths)
 
     def test_determinism(self):
         a = mc_quadratic_laplace(1.0, 2000, 128, 5)
