@@ -254,13 +254,13 @@ def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
     """Yield PCG64(SeedSequence(seed, spawn_key=(i,))) for start <= i < stop as
     (paths, 4) uint64 blocks of (state low, state high, inc low, inc high).
 
-    Blocks hold at most _SEED_BLOCK paths and never cross a power of 2**32,
-    so every path of a block has as many index words, and all but the
-    lowest are shared.
+    Blocks hold at most _SEED_BLOCK paths and never cross a multiple of
+    2**32, so every path of a block has the same index words but the lowest,
+    and the lowest does not wrap.
     """
     while start < stop:
         index_words = _int_words(start)
-        end = min(stop, start + _SEED_BLOCK, 1 << (32 * len(index_words)))
+        end = min(stop, start + _SEED_BLOCK, (start | _M32) + 1)
         low = np.arange(index_words[0], index_words[0] + end - start, dtype=np.uint64)
         shared = [np.array([w], dtype=np.uint32) for w in index_words[1:]]
         entropy = seed_words + [low.astype(np.uint32)] + shared

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism, round trips."""
 
+import gc
 import hashlib
 import json
 import math
@@ -432,6 +433,15 @@ class TestPlumbing:
         assert proc.returncode == EXIT_DOMAIN and proc.stdout == b""
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["code"] == EXIT_DOMAIN
+
+    def test_collector_is_frozen_once_per_process(self, capsys):
+        # Objects made after the first main() stay collectable across later calls.
+        run_cli(capsys, "matrices", "--n", "1", "--which", "a")
+        frozen = gc.get_freeze_count()
+        garbage = [[] for _ in range(1000)]
+        assert run_cli(capsys, "matrices", "--n", "1", "--which", "a")[0] == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+        del garbage
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

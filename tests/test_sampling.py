@@ -83,6 +83,14 @@ class TestBlockSeeding:
         assert np.array_equal(got, reference_normals(7, 2**32 - 3, 7, 2))
 
     @pytest.mark.parametrize(
+        "first_path", [2**33 - 3, 5 * 2**32 - 3, 2**64 - 3, 2**64 + 2**32 - 3]
+    )
+    def test_block_across_a_multiple_of_2_32(self, first_path):
+        # The lowest index word wraps while a higher word steps.
+        got = _path_normals(7, first_path, 7, 1, 2)[:, 0, :]
+        assert np.array_equal(got, reference_normals(7, first_path, 7, 2))
+
+    @pytest.mark.parametrize(
         "seed", [True, np.int64(5), np.uint64(2**64 - 1)], ids=["bool", "int64", "uint64-max"]
     )
     def test_numpy_and_bool_seeds_accepted(self, seed):
@@ -164,6 +172,17 @@ class TestStreamLoading:
     def test_probe_finds_the_layout_of_this_numpy(self):
         assert sampling._pcg64_word_order() in ((0, 1, 2, 3), (1, 0, 3, 2))
 
+    @pytest.mark.parametrize(
+        "read_back,order", [((1, 2, 3, 5), (0, 1, 2, 3)), ((2, 1, 5, 3), (1, 0, 3, 2))],
+        ids=["native", "emulated"],
+    )
+    def test_probe_picks_the_layout_it_reads(self, monkeypatch, read_back, order):
+        # The probe sets the words (1, 2, 3, 5); a {high, low} build reads
+        # each 128-bit word back with its halves swapped.
+        words = (ctypes.c_uint64 * 4)(*read_back)
+        monkeypatch.setattr(sampling, "_pcg64_words", lambda bits: words)
+        assert sampling._pcg64_word_order.__wrapped__() == order
+
     def test_probe_rejects_an_unknown_layout(self, monkeypatch):
         garbage = (ctypes.c_uint64 * 4)(7, 7, 7, 7)
         monkeypatch.setattr(sampling, "_pcg64_words", lambda bits: garbage)
@@ -178,6 +197,30 @@ class TestStreamLoading:
         words = np.ascontiguousarray(words[:, sampling._pcg64_word_order()])
         memoryview(sampling._pcg64_words(bits)).cast("B")[:] = memoryview(words).cast("B")
         assert bits.state == path_generator(2**70 + 3, 2**32 - 1).bit_generator.state
+
+    def test_path_normals_writes_the_words_in_the_probed_order(self, monkeypatch):
+        # Loaded in the other layout's order, struct slot p gets word other[p]
+        # of each path and is read as word real[p]: the draws are those of
+        # that permuted (state, inc), set through the public setter.
+        real = sampling._pcg64_word_order()
+        other = (1, 0, 3, 2) if real == (0, 1, 2, 3) else (0, 1, 2, 3)
+        monkeypatch.setattr(sampling, "_pcg64_word_order", lambda: other)
+        got = _path_normals(5, 10, 3, 1, 4)[:, 0, :]
+        assert not np.array_equal(got, reference_normals(5, 10, 3, 4))
+        for i, row in enumerate(got, start=10):
+            ref = path_generator(5, i).bit_generator.state["state"]
+            words = [ref["state"] & M64, ref["state"] >> 64, ref["inc"] & M64, ref["inc"] >> 64]
+            seen = [0] * 4
+            for p in range(4):
+                seen[real[p]] = words[other[p]]
+            bits = np.random.PCG64(0)
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": seen[1] << 64 | seen[0], "inc": seen[3] << 64 | seen[2]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            assert np.array_equal(row, np.random.Generator(bits).standard_normal(4))
 
 # Grids for the kernel-vs-recursion checks: the CLI's `sample --t 10 --grid
 # 20000`, an irregular grid, and 1e5 steps of 2**-10 (one distinct step, so
