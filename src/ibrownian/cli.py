@@ -21,6 +21,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -28,7 +29,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,28 +67,6 @@ MAX_MATRICES_N = 360
 MAX_CORRELATE_N = 70
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; one field per flag that any subcommand accepts."""
-
-    subcommand: str
-    n: int | None = None
-    t: float | None = None
-    times: tuple[float, ...] | None = None
-    tau_max: float | None = None
-    theta: float | None = None
-    paths: int = verification.DEFAULT_PATHS
-    grid: int | None = None
-    seed: int = verification.DEFAULT_SEED
-    out: str | None = None
-    fmt: str | None = None
-    which: str | None = None
-    w: tuple[float, ...] | None = None
-    a: tuple[float, ...] | None = None
-    request: str | None = None
-    suite: str = "all"
-
-
 def _floats_csv(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
@@ -111,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"dimension (matrix is (n+1)x(n+1)), at most {MAX_MATRICES_N}")
     p.add_argument("--which", required=True, choices=sorted(_MATRIX_BUILDERS))
     p.add_argument("--out")
+    p.set_defaults(run=_run_matrices)
 
     p = sub.add_parser("density", help="evaluate a marginal or transition density")
     p.add_argument("--n", type=int, help="order; defaults to len(w)-1")
@@ -119,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_floats_csv, help="initial state for a transition density")
     p.add_argument("--request", help="JSON file with keys n?, t, w, a?")
     p.add_argument("--out")
+    p.set_defaults(run=_run_density)
 
     p = sub.add_parser("correlate", help="stationary covariance table over a lag grid")
     p.add_argument("--n", type=int, required=True,
@@ -126,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, required=True, dest="tau_max")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     p.add_argument("--out")
+    p.set_defaults(run=_run_correlate)
 
     p = sub.add_parser("sample", help="sample one exact path, CSV time,w0,...,wn")
     p.add_argument("--n", type=int, required=True)
@@ -134,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help="number of uniform grid points (with --t)")
     p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
     p.add_argument("--out")
+    p.set_defaults(run=_run_sample)
 
     p = sub.add_parser("verify", help="run the Monte Carlo verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + verification.SUITE_ORDER)
@@ -143,19 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float,
                    help="run the laplace suite at this single theta instead of 0.5, 1, 2")
     p.add_argument("--out")
+    p.set_defaults(run=_run_verify)
 
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for field in (
-        "n", "t", "times", "tau_max", "theta", "paths", "grid",
-        "seed", "out", "fmt", "which", "w", "a", "request", "suite",
-    ):
-        if hasattr(ns, field):
-            setattr(cfg, field, getattr(ns, field))
-    return cfg
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -182,23 +154,22 @@ def _batches(pieces: Iterable[str]) -> Iterator[str]:
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write text, or the concatenation of an iterable of pieces, to --out or stdout.
 
-    A long output is never held whole: pieces go to stdout in batches of
-    about _WRITE_CHARS, so an unbuffered stdout still sees few large writes,
-    and to a file through its own buffer.  Stdout gets a final newline if
-    the text does not end with one.
+    A long output is never held whole: pieces are written in batches of
+    about _WRITE_CHARS, so an unbuffered stdout still sees few large writes.
+    Both targets get the same bytes: a final newline is added if the text
+    does not end with one.
     """
     pieces = [text] if isinstance(text, str) else text
     path = _resolve_out(out)
-    if path is None:
+    target = (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8", newline=""))
+    with target as fh:
         last = ""
         for batch in _batches(pieces):
-            sys.stdout.write(batch)
+            fh.write(batch)
             last = batch[-1:] or last
         if last != "\n":
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+            fh.write("\n")
 
 
 def _error_line(code: int, message: str) -> None:
@@ -243,10 +214,10 @@ def _check_cap(n: int, cap: int, subcommand: str) -> None:
         raise ValueError(f"{subcommand} accepts --n up to {cap}, got {n}")
 
 
-def _run_matrices(cfg: RunConfig) -> int:
-    _check_cap(cfg.n, MAX_MATRICES_N, "matrices")
-    matrix = _MATRIX_BUILDERS[cfg.which](cfg.n)
-    _emit(json.dumps(exact.matrix_to_json(matrix), indent=2), cfg.out)
+def _run_matrices(ns: argparse.Namespace) -> int:
+    _check_cap(ns.n, MAX_MATRICES_N, "matrices")
+    matrix = _MATRIX_BUILDERS[ns.which](ns.n)
+    _emit(json.dumps(exact.matrix_to_json(matrix), indent=2), ns.out)
     return EXIT_OK
 
 
@@ -279,15 +250,15 @@ def _to_float(name: str, value) -> float:
         raise ValueError(f"{name} is beyond the float range") from None
 
 
-def _density_request(cfg: RunConfig) -> tuple[int, float, tuple, tuple | None]:
-    n, t, w, a = cfg.n, cfg.t, cfg.w, cfg.a
-    if cfg.request is not None:
-        with open(cfg.request, "r", encoding="utf-8") as fh:
+def _density_request(ns: argparse.Namespace) -> tuple[int, float, tuple, tuple | None]:
+    n, t, w, a = ns.n, ns.t, ns.w, ns.a
+    if ns.request is not None:
+        with open(ns.request, "r", encoding="utf-8") as fh:
             try:
                 req = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{cfg.request}: invalid JSON ({exc})")
-        _check_request(cfg.request, req)
+                raise ValueError(f"{ns.request}: invalid JSON ({exc})")
+        _check_request(ns.request, req)
         n = req.get("n", n)
         t = req.get("t", t)
         w = req.get("w", w)
@@ -306,8 +277,8 @@ def _density_request(cfg: RunConfig) -> tuple[int, float, tuple, tuple | None]:
     return n, _to_float("t", t), w, a
 
 
-def _run_density(cfg: RunConfig) -> int:
-    _, t, w, a = _density_request(cfg)
+def _run_density(ns: argparse.Namespace) -> int:
+    _, t, w, a = _density_request(ns)
     if a is None:
         log_density = log_density_w(w, t)
     else:
@@ -317,7 +288,7 @@ def _run_density(cfg: RunConfig) -> int:
     except OverflowError:
         density = math.inf
     result = {"log_density": log_density, "density": density}
-    _emit(json.dumps(result), cfg.out)
+    _emit(json.dumps(result), ns.out)
     return EXIT_OK
 
 
@@ -335,63 +306,50 @@ def _correlate_json(order: int, pairs: list, expansions: dict) -> Iterator[str]:
     yield "\n  ]\n}"
 
 
-def _run_correlate(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.n < 0:
+def _run_correlate(ns: argparse.Namespace) -> int:
+    if ns.n < 0:
         raise ValueError("correlate needs --n >= 0")
-    _check_cap(cfg.n, MAX_CORRELATE_N, "correlate")
-    if cfg.tau_max is None or not (cfg.tau_max > 0):
-        raise ValueError("correlate needs --tau-max > 0")
-    pairs = [(j, k) for j in range(cfg.n + 1) for k in range(cfg.n + 1)]
+    _check_cap(ns.n, MAX_CORRELATE_N, "correlate")
+    # The grid spans 2 * tau_max; beyond the float range linspace ends in nan.
+    if not (ns.tau_max > 0 and math.isfinite(2.0 * ns.tau_max)):
+        raise ValueError("correlate needs --tau-max > 0 with 2 * tau-max finite")
+    pairs = [(j, k) for j in range(ns.n + 1) for k in range(ns.n + 1)]
     expansions = {pair: cross_correlation(*pair) for pair in pairs}
-    if cfg.fmt == "json":
-        _emit(_correlate_json(cfg.n, pairs, expansions), cfg.out)
+    if ns.fmt == "json":
+        _emit(_correlate_json(ns.n, pairs, expansions), ns.out)
         return EXIT_OK
-    taus = np.linspace(-cfg.tau_max, cfg.tau_max, CORRELATE_GRID_POINTS)
+    taus = np.linspace(-ns.tau_max, ns.tau_max, CORRELATE_GRID_POINTS)
     header = "tau," + ",".join(f"c{j}{k}" for j, k in pairs)
     lines = [header]
     for tau in taus:
         row = [repr(float(tau))]
         row += [repr(expansions[pair].at(float(tau))) for pair in pairs]
         lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", ns.out)
     return EXIT_OK
 
 
-def _run_sample(cfg: RunConfig) -> int:
-    if cfg.times is not None:
-        times = cfg.times
-    elif cfg.t is not None and cfg.grid is not None:
-        if cfg.grid < 1:
+def _run_sample(ns: argparse.Namespace) -> int:
+    if ns.times is not None:
+        times = ns.times
+    elif ns.t is not None and ns.grid is not None:
+        if ns.grid < 1:
             raise ValueError("--grid must be at least 1")
-        times = tuple(cfg.t * j / cfg.grid for j in range(1, cfg.grid + 1))
+        times = tuple(ns.t * j / ns.grid for j in range(1, ns.grid + 1))
     else:
         raise ValueError("sample needs --times, or --t together with --grid")
-    path = sample_w(cfg.n, times, cfg.seed)
-    _emit(write_sample_csv(path), cfg.out)
+    path = sample_w(ns.n, times, ns.seed)
+    _emit(write_sample_csv(path), ns.out)
     return EXIT_OK
 
 
-def _run_verify(cfg: RunConfig) -> int:
+def _run_verify(ns: argparse.Namespace) -> int:
     results = verification.run_suite(
-        cfg.suite, seed=cfg.seed, n_paths=cfg.paths, grid_size=cfg.grid,
-        thetas=None if cfg.theta is None else (cfg.theta,),
+        ns.suite, seed=ns.seed, n_paths=ns.paths, grid_size=ns.grid,
+        thetas=None if ns.theta is None else (ns.theta,),
     )
-    _emit(json.dumps(results, indent=2), cfg.out)
+    _emit(json.dumps(results, indent=2), ns.out)
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_VERIFY_FAILED
-
-
-_RUNNERS = {
-    "matrices": _run_matrices,
-    "density": _run_density,
-    "correlate": _run_correlate,
-    "sample": _run_sample,
-    "verify": _run_verify,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed configuration; raises ValueError / OSError on bad input."""
-    return _RUNNERS[cfg.subcommand](cfg)
 
 
 @functools.cache
@@ -418,9 +376,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from(ns)
     try:
-        return run(cfg)
+        return ns.run(ns)
     except ValueError as exc:
         _error_line(EXIT_DOMAIN, str(exc))
         return EXIT_DOMAIN

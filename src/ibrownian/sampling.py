@@ -467,11 +467,18 @@ def closed_form_quadratic_laplace(theta: float) -> float:
     """Known value of E exp(-(theta^2/2) * integral over [0,1] of W_1^2):
 
     sqrt(2 / (cosh^2 sqrt(theta/2) + cos^2 sqrt(theta/2)))
+
+    Where cosh^2 overflows (u = sqrt(theta/2) above about 355.6) the value is
+    2 sqrt(2) e^-u, exact to double precision there: e^-2u and
+    (cos u / cosh u)^2 are both below 1e-300.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    if not (0.0 <= theta < math.inf):
+        raise ValueError("theta must be finite and non-negative")
     u = math.sqrt(theta / 2.0)
-    return math.sqrt(2.0 / (math.cosh(u) ** 2 + math.cos(u) ** 2))
+    try:
+        return math.sqrt(2.0 / (math.cosh(u) ** 2 + math.cos(u) ** 2))
+    except OverflowError:
+        return 2.0 * math.sqrt(2.0) * math.exp(-u)
 
 
 @lru_cache(maxsize=2)
@@ -516,8 +523,8 @@ def mc_quadratic_laplace(
     trapezoid quadrature; the quadrature is the only source of bias, and
     acceptance bands allow 2/grid_size for it on top of 3 standard errors.
     """
-    if not (theta > 0.0):
-        raise ValueError("theta must be positive")
+    if not (0.0 < theta < math.inf):
+        raise ValueError("theta must be finite and positive")
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     if n_paths < 2:

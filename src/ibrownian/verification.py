@@ -86,11 +86,6 @@ def check_quadratic_laplace(thetas=(0.5, 1.0, 2.0), n_paths: int = DEFAULT_PATHS
     return {"test": "quadratic-laplace", "statistic": worst, "bound": 1.0, "pass": worst <= 1.0}
 
 
-def check_transition_symmetry(order: int = 2, trials: int = 1000,
-                              seed: int = DEFAULT_SEED) -> dict:
-    return mc_transition_symmetry(order, trials, seed)
-
-
 def check_renewal_whiteness(order: int = 2, s: float = 1.0, dt: float = 0.5,
                             n_paths: int = DEFAULT_PATHS, seed: int = DEFAULT_SEED) -> dict:
     """The innovation of the step from time s to s+dt is uncorrelated with the
@@ -127,15 +122,15 @@ SUITES = {
         n_paths=n_paths, seed=seed + 1),
     "laplace": lambda seed, n_paths, grid_size, thetas: check_quadratic_laplace(
         thetas=thetas, n_paths=n_paths, grid_size=grid_size, seed=seed + 2),
-    "symmetry": lambda seed, n_paths, grid_size, thetas: check_transition_symmetry(
-        seed=seed + 3),
+    "symmetry": lambda seed, n_paths, grid_size, thetas: mc_transition_symmetry(
+        2, 1000, seed + 3),
     "whiteness": lambda seed, n_paths, grid_size, thetas: check_renewal_whiteness(
         n_paths=n_paths, seed=seed + 4),
     "chained": lambda seed, n_paths, grid_size, thetas: check_chained_vs_direct(
         n_paths=n_paths, seed=seed + 5),
 }
 
-SUITE_ORDER = ("w-covariance", "x-stationarity", "laplace", "symmetry", "whiteness", "chained")
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str = "all", seed: int = DEFAULT_SEED,

@@ -247,11 +247,29 @@ class TestCorrelate:
         argv = ("correlate", "--n", str(n), "--tau-max", "1", "--format", "json")
         assert run_cli(capsys, *argv) == (EXIT_OK, whole + "\n", "")
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "c.json"))[0] == EXIT_OK
-        assert (tmp_path / "c.json").read_text(encoding="utf-8") == whole
+        assert (tmp_path / "c.json").read_text(encoding="utf-8") == whole + "\n"
 
     def test_bad_tau_max(self, capsys):
         code, _, _ = run_cli(capsys, "correlate", "--n", "1", "--tau-max", "0")
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("tau_max", ["inf", "1e308"])
+    def test_tau_max_with_overflowing_span_is_domain_error(self, capsys, monkeypatch, tau_max):
+        monkeypatch.setattr(cli, "cross_correlation", _must_not_be_called)
+        code, out, err = run_cli(capsys, "correlate", "--n", "1", "--tau-max", tau_max)
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+
+    def test_largest_tau_max_gives_a_finite_grid(self, capsys):
+        code, out, err = run_cli(capsys, "correlate", "--n", "1", "--tau-max", "8e307")
+        assert code == EXIT_OK and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        taus = [float(row[0]) for row in rows]
+        assert len(taus) == cli.CORRELATE_GRID_POINTS
+        assert all(math.isfinite(tau) for tau in taus)
+        assert taus[0] == -8e307 and taus[-1] == 8e307
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 class TestSample:
@@ -382,6 +400,23 @@ class TestVerify:
         assert code == EXIT_OK
         assert all(r["pass"] for r in json.loads(out))
 
+    def test_theta_where_cosh_squared_overflows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "laplace", "--paths", "100", "--grid", "100",
+            "--theta", "3e5",
+        )
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)[0]["pass"] is True
+
+    def test_infinite_theta_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "laplace", "--paths", "100", "--grid", "100",
+            "--theta", "inf",
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+
     def test_byte_determinism(self, capsys):
         args = ("verify", "--suite", "symmetry", "--seed", "33")
         _, out1, _ = run_cli(capsys, *args)
@@ -411,22 +446,25 @@ class TestPlumbing:
         assert json.loads(proc.stdout)["entries"] == [["1", "0"], ["-1", "2"]]
 
     @pytest.mark.parametrize(
-        "argv,newline",
+        "argv",
         [
-            (("sample", "--n", "2", "--t", "3", "--grid", "500", "--seed", "4"), b""),
-            # The JSON report has no final newline; stdout adds one.
-            (("verify", "--suite", "all", "--paths", "2000", "--seed", "6"), b"\n"),
+            ("sample", "--n", "2", "--t", "3", "--grid", "500", "--seed", "4"),
+            ("verify", "--suite", "all", "--paths", "2000", "--seed", "6"),
+            ("matrices", "--n", "3", "--which", "rho"),
+            ("density", "--t", "1", "--w", "0.5,0.25", "--a", "0.1,0.2"),
+            ("correlate", "--n", "2", "--tau-max", "3"),
+            ("correlate", "--n", "2", "--tau-max", "3", "--format", "json"),
         ],
-        ids=["sample", "verify"],
+        ids=["sample", "verify", "matrices", "density", "correlate-csv", "correlate-json"],
     )
-    def test_out_file_holds_what_stdout_prints(self, tmp_path, argv, newline):
+    def test_out_file_holds_what_stdout_prints(self, tmp_path, argv):
         # main() freezes the collector; the exit must still flush every byte,
         # to a pipe (block-buffered stdout) and to a file.
         printed = run_module(*argv)
         written = run_module(*argv, "--out", str(tmp_path / "out"))
         assert printed.returncode == written.returncode
         assert printed.stderr == written.stderr == b"" and written.stdout == b""
-        assert printed.stdout == (tmp_path / "out").read_bytes() + newline
+        assert printed.stdout == (tmp_path / "out").read_bytes()
 
     def test_domain_error_is_one_json_line_on_stderr(self):
         proc = run_module("density", "--t", "-1", "--w", "0")

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -442,6 +443,29 @@ class TestQuadraticLaplace:
         assert closed_form_quadratic_laplace(2.0) == pytest.approx(
             0.864994874467993, abs=1e-14
         )
+
+    @pytest.mark.parametrize("theta", [2.6e5, 1e6, 1.0096e6, 1e200])
+    def test_closed_form_where_cosh_squared_overflows(self, theta):
+        # 1.0096e6 gives a subnormal value, 1e200 underflows to 0.0.
+        def exact(u):
+            return mpmath.sqrt(2 / (mpmath.cosh(u) ** 2 + mpmath.cos(u) ** 2))
+
+        value = closed_form_quadratic_laplace(theta)
+        u = math.sqrt(theta / 2.0)
+        with mpmath.workdps(60):
+            at_double_u = float(exact(mpmath.mpf(u)))
+            at_theta = float(exact(mpmath.sqrt(mpmath.mpf(theta) / 2)))
+        # Within 2 ulps of the function at the double u that the code forms;
+        # rounding u itself moves the value by up to a relative ulp(u) / 2.
+        assert abs(value - at_double_u) <= 2 * math.ulp(at_double_u)
+        assert value == pytest.approx(at_theta, rel=math.ulp(u), abs=4 * math.ulp(0.0))
+
+    @pytest.mark.parametrize("theta", [math.inf, math.nan, -1.0])
+    def test_theta_outside_its_range_is_rejected(self, theta):
+        with pytest.raises(ValueError):
+            closed_form_quadratic_laplace(theta)
+        with pytest.raises(ValueError):
+            mc_quadratic_laplace(theta, 1000, 128, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
