@@ -42,12 +42,20 @@ SeedSequence's hash mixing (NEP 19) and PCG64's seeding (O'Neill 2014) in
 PCG64, found through BitGenerator.ctypes; a probe checks that state's
 layout once per process.  path_generator builds the stream the direct way
 and is the bit-level reference the tests compare with.
+
+The Laplace path set (_integrated_w1sq) runs its blocks on up to
+_WORKERS threads, one per CPU the process may use and at most 8; numpy
+releases the GIL while it draws normals and takes cumulative sums.  The
+workers split one byte budget for their buffers, so memory does not grow
+with the thread count, and the result does not depend on it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,9 +71,16 @@ from .densities import (
 )
 from .exact import _check_nonnegative
 
-# Bytes of normals the Laplace suite holds at once; paths per block follow
-# from the grid, so its memory does not grow with --paths or --grid.
+# Bytes of normals the Laplace suite holds at once, all workers together;
+# paths per block follow from the grid and the worker count, so its memory
+# does not grow with --paths or --grid.
 _LAPLACE_BLOCK_BYTES = 2**21
+# Threads that make the Laplace path set: the CPUs this process may run
+# on, at most 8.  os.sched_getaffinity exists on Linux only.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = min(8, len(os.sched_getaffinity(0)))
+else:
+    _WORKERS = min(8, os.cpu_count() or 1)
 # exp() overflows past this; sample_x raises exp(t) to the power k + 1/2.
 _MAX_LOG_TIME = 700.0
 
@@ -481,6 +496,26 @@ def closed_form_quadratic_laplace(theta: float) -> float:
         return 2.0 * math.sqrt(2.0) * math.exp(-u)
 
 
+def _w1sq_blocks(seed: int, h: np.ndarray, starts, block: int, out: np.ndarray) -> None:
+    """Write the trapezoid value of each path of the blocks at `starts` into `out`.
+
+    One worker of _integrated_w1sq: it owns its (block, grid, 2) normals
+    buffer and (block, grid) buffer of squares, reused across its blocks,
+    the last block through a view, and writes only out[start : start +
+    block] for each of its starts.
+    """
+    n_paths, grid_size, dt = out.size, h.size, h[0]
+    normals = np.empty((block, grid_size, 2))
+    squares = np.empty((block, grid_size))
+    for start in starts:
+        m = min(block, n_paths - start)
+        states = _path_normals(seed, start, m, grid_size, 2, out=normals[:m])
+        _states_from_normals(states, h)
+        # Contiguous rows: one pairwise sum per path.
+        sq = np.square(states[:, :, 1], out=squares[:m])
+        out[start : start + m] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * dt
+
+
 @lru_cache(maxsize=2)
 def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
     """Per-path trapezoid value of the integral over [0,1] of W_1(t)^2.
@@ -489,27 +524,43 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
     j/grid_size, j = 1..grid_size, with the exact zero state at t = 0
     supplying the left endpoint of the first trapezoid.
 
-    Paths are made in blocks of max(1, _LAPLACE_BLOCK_BYTES // (16 *
-    grid_size)), so the (block, grid_size, 2) normals fill the byte budget:
-    128 paths at grid 1024, one path beyond grid 131072.  The normals buffer
-    and the (block, grid_size) buffer of squares are allocated once and
-    reused, the last block through a view, so memory is a few budgets for
-    any n_paths and any grid_size up to 131072.  The kernel is
-    batch-invariant, so the block size moves memory, never the bits.
+    Paths are made in blocks on W threads, W being _WORKERS lowered until
+    each worker has at least one full block.  The workers split one byte
+    budget: a block holds max(1, _LAPLACE_BLOCK_BYTES // W // (16 *
+    grid_size)) paths (64 at grid 1024 on 2 workers, 128 on one, one path
+    beyond grid 131072), and each worker reuses its own normals and squares
+    buffers, so memory is a few budgets for any n_paths, grid_size up to
+    131072 and W.  Worker k takes blocks k, k + W, k + 2W, ...; the calling
+    thread is worker 0, then joins the others and raises the first
+    exception a worker caught, so a failed call caches nothing.  Workers
+    call only private functions: bench/tracer.py keeps one span stack per
+    process for the public ones.  Every path has its own stream and the
+    kernel is batch-invariant, so neither W, the block size nor the order
+    in which workers finish moves a bit.
     """
-    dt = 1.0 / grid_size
-    h = np.full(grid_size, dt)
-    block = min(n_paths, max(1, _LAPLACE_BLOCK_BYTES // (grid_size * 2 * 8)))
-    normals = np.empty((block, grid_size, 2))
-    squares = np.empty((block, grid_size))
+    per_path = 16 * grid_size
+    workers = min(_WORKERS, n_paths)
+    while workers > 1 and workers * max(1, _LAPLACE_BLOCK_BYTES // workers // per_path) > n_paths:
+        workers -= 1
+    block = min(n_paths, max(1, _LAPLACE_BLOCK_BYTES // workers // per_path))
+    h = np.full(grid_size, 1.0 / grid_size)
     out = np.empty(n_paths)
-    for start in range(0, n_paths, block):
-        m = min(block, n_paths - start)
-        states = _path_normals(seed, start, m, grid_size, 2, out=normals[:m])
-        _states_from_normals(states, h)
-        # Contiguous rows: one pairwise sum per path.
-        sq = np.square(states[:, :, 1], out=squares[:m])
-        out[start : start + m] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * dt
+    errors = []
+
+    def work(k: int) -> None:
+        try:
+            _w1sq_blocks(seed, h, range(k * block, n_paths, workers * block), block, out)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     out.setflags(write=False)
     return out
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .densities import covariance_r, drift_matrix
 from .sampling import (
+    _seed_words,
     closed_form_quadratic_laplace,
     mc_quadratic_laplace,
     mc_transition_symmetry,
@@ -139,6 +140,9 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED,
     """Run one named suite, or all of them in a fixed order.
 
     `thetas` overrides the laplace suite's default (0.5, 1, 2) triple.
+    The master seed and the path count are checked here, before any suite
+    runs: the suites offset the seed, and a moment needs two paths for its
+    standard error.
     """
     if name == "all":
         names = SUITE_ORDER
@@ -146,5 +150,8 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED,
         names = (name,)
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITE_ORDER}")
+    _seed_words(seed)  # the samplers' rule: a non-negative integer
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     chosen = (0.5, 1.0, 2.0) if thetas is None else tuple(thetas)
     return [SUITES[nm](seed, n_paths, grid_size, chosen) for nm in names]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ibrownian
-from ibrownian import cli
+from ibrownian import cli, verification
 from ibrownian.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -416,6 +416,29 @@ class TestVerify:
         assert code == EXIT_DOMAIN and out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["code"] == EXIT_DOMAIN
+
+    # The check comes before any suite runs, so no moment suite reaches its
+    # standard error of one sample (NaN and two numpy warnings).
+    @pytest.mark.parametrize("paths", ["1", "0"])
+    @pytest.mark.parametrize("suite", ("all",) + verification.SUITE_ORDER)
+    def test_fewer_than_two_paths_is_domain_error(self, capsys, recwarn, suite, paths):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--paths", paths)
+        assert code == EXIT_DOMAIN and out == "" and not recwarn.list
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "n_paths must be at least 2", "code": EXIT_DOMAIN}
+
+    # The suites offset the master seed by 0-5, so a check inside a suite
+    # would see a non-negative seed.
+    @pytest.mark.parametrize("suite", ("all",) + verification.SUITE_ORDER)
+    def test_negative_seed_is_domain_error(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--paths", "10", "--seed", "-1"
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "seed: expected non-negative integer", "code": EXIT_DOMAIN
+        }
 
     def test_byte_determinism(self, capsys):
         args = ("verify", "--suite", "symmetry", "--seed", "33")

@@ -1,8 +1,14 @@
 """Exact samplers and Monte Carlo estimators: law checks with 3-SE bands."""
 
 import ctypes
+import importlib
+import inspect
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -316,6 +322,164 @@ class TestStepKernel:
             _path_normals(4, 2, 5, 3, 2, out=np.empty((4, 3, 2)))
 
 
+class BlockFailure(Exception):
+    pass
+
+
+def public_layer_codes():
+    """Code objects of what bench/tracer.py wraps: the public functions and
+    public methods that each ibrownian layer module defines."""
+    codes = set()
+    for layer in ("cli", "verification", "sampling", "densities", "exact", "spectral"):
+        mod = importlib.import_module(f"ibrownian.{layer}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                codes.update(
+                    meth.__code__ for meth_name, meth in vars(obj).items()
+                    if not meth_name.startswith("_") and inspect.isfunction(meth)
+                )
+            elif callable(obj):
+                codes.add(inspect.unwrap(obj).__code__)
+    return codes
+
+
+class TestLaplaceWorkers:
+    """The Laplace path set on several threads: same bits, one memory budget."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Count the threads the sampling module starts."""
+        count = []
+        real = threading.Thread
+
+        def spy(*args, **kwargs):
+            count.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampling.threading, "Thread", spy)
+        return count
+
+    # 2500 and 1100 paths divide into no block size of grid 128 (1024, 512
+    # and 341 paths for 1, 2 and 3 workers); a grid beyond the budget makes
+    # one path per block.
+    @pytest.mark.parametrize("n_paths,grid", [(2500, 128), (1100, 128), (3, 131_073)])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_does_not_move_bits(self, workers, n_paths, grid, monkeypatch, started):
+        monkeypatch.setattr(sampling, "_WORKERS", 1)
+        one = _integrated_w1sq.__wrapped__(n_paths, grid, 9)
+        assert not started
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        assert np.array_equal(_integrated_w1sq.__wrapped__(n_paths, grid, 9), one)
+        assert len(started) == workers - 1
+
+    def test_worker_count_is_the_usable_cpus_at_most_8(self):
+        # Where os.sched_getaffinity is missing (Windows, macOS) the count
+        # comes from os.cpu_count(); a fresh interpreter takes that branch.
+        code = (
+            "import os\n"
+            "if hasattr(os, 'sched_getaffinity'): del os.sched_getaffinity\n"
+            "from ibrownian import sampling\n"
+            "print(sampling._WORKERS)"
+        )
+        src = os.path.dirname(os.path.dirname(sampling.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == min(8, os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert sampling._WORKERS == min(8, len(os.sched_getaffinity(0)))
+
+    def test_more_workers_than_cpus_under_fast_thread_switching(self, monkeypatch, started):
+        monkeypatch.setattr(sampling, "_WORKERS", 1)
+        one = _integrated_w1sq.__wrapped__(400, 128, 9)
+        monkeypatch.setattr(sampling, "_WORKERS", 8)
+        monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", 8 * 3 * 128 * 16)  # 3 paths per block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _integrated_w1sq.__wrapped__(400, 128, 9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 7
+        assert np.array_equal(got, one)
+
+    @pytest.mark.parametrize("n_paths", [2, 100, 1022])
+    def test_run_under_one_block_per_worker_starts_no_thread(self, n_paths, monkeypatch, started):
+        monkeypatch.setattr(sampling, "_WORKERS", 3)
+        got = _integrated_w1sq.__wrapped__(n_paths, 128, 9)
+        assert not started
+        assert np.array_equal(got, _integrated_w1sq.__wrapped__(2500, 128, 9)[:n_paths])
+
+    def test_memory_is_one_budget_across_workers(self, monkeypatch, started):
+        monkeypatch.setattr(sampling, "_WORKERS", 3)
+        _integrated_w1sq.__wrapped__(2, 128, 9)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            _integrated_w1sq.__wrapped__(300, 4096, 9)  # 19.7 MB of normals in all
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(started) == 2
+        assert peak < 3 * sampling._LAPLACE_BLOCK_BYTES
+
+    # 2 workers at grid 128 make blocks of 512 paths: worker 1 (a thread)
+    # takes the block at 512, worker 0 (the caller) the block at 1024.
+    @pytest.mark.parametrize("failing_start", [512, 1024])
+    def test_failing_worker_fails_the_call(self, failing_start, monkeypatch):
+        monkeypatch.setattr(sampling, "_WORKERS", 1)
+        expected = _integrated_w1sq.__wrapped__(2500, 128, 9)
+        monkeypatch.setattr(sampling, "_WORKERS", 2)
+        real, calls, failed = sampling._path_normals, [], []
+
+        def fail_once(seed, first_path, *args, **kwargs):
+            calls.append(first_path)
+            if first_path == failing_start and not failed:
+                failed.append(first_path)
+                raise BlockFailure(first_path)
+            return real(seed, first_path, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "_path_normals", fail_once)
+        _integrated_w1sq.cache_clear()
+        try:
+            with pytest.raises(BlockFailure, match=str(failing_start)):
+                _integrated_w1sq(2500, 128, 9)
+            assert _integrated_w1sq.cache_info().currsize == 0
+            del calls[:]
+            assert np.array_equal(_integrated_w1sq(2500, 128, 9), expected)
+            assert sorted(calls) == list(range(0, 2500, 512))  # recomputed, all blocks
+        finally:
+            _integrated_w1sq.cache_clear()
+
+    def test_no_public_function_runs_off_the_main_thread(self, monkeypatch, started):
+        # bench/tracer.py wraps every public function in a span and keeps one
+        # span stack per process, so only the main thread may call them.
+        monkeypatch.setattr(sampling, "_WORKERS", 2)
+        public = public_layer_codes()
+        main = threading.get_ident()
+        off_main = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and threading.get_ident() != main:
+                off_main.add(frame.f_code)
+
+        _integrated_w1sq.cache_clear()
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            verification.run_suite("all", n_paths=3000)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+            _integrated_w1sq.cache_clear()
+        assert started, "the laplace suite ran on one thread"
+        assert sampling._w1sq_blocks.__code__ in off_main
+        assert not off_main & public, sorted(code.co_name for code in off_main & public)
+
+
 class TestCovarianceRoot:
     @pytest.mark.parametrize("n,t", [(0, 1.0), (1, 0.25), (3, 2.0), (6, 0.01), (6, 50.0)])
     def test_is_exact_root(self, n, t):
@@ -547,3 +711,14 @@ class TestVerificationSuites:
         assert set(results[0]) == {"test", "statistic", "bound", "pass"}
         with pytest.raises(ValueError):
             verification.run_suite("bogus")
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError), ("7", TypeError)])
+    def test_master_seed_is_checked_before_any_suite(self, seed, error, monkeypatch):
+        monkeypatch.setitem(verification.SUITES, "chained", None)  # must not be called
+        with pytest.raises(error, match="seed"):
+            verification.run_suite("chained", seed=seed)
+
+    @pytest.mark.parametrize("n_paths", [1, 0, -3])
+    def test_path_count_is_checked_before_any_suite(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be at least 2"):
+            verification.run_suite("w-covariance", n_paths=n_paths)
