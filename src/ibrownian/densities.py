@@ -76,6 +76,31 @@ def _lambda_diag(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _lambda_root(n: int) -> np.ndarray:
+    return _readonly(np.sqrt(1.0 / _lambda_diag(n)))
+
+
+@lru_cache(maxsize=None)
+def _half_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """-(k + 1/2) and k + 1/2 for k = 0..n: the powers of t in T(t) and T^-1(t)."""
+    up = np.arange(n + 1) + 0.5
+    return _readonly(-up), _readonly(up)
+
+
+def _star_signs(size: int) -> np.ndarray:
+    """(-1)^k for k < size, the factors of star_vector."""
+    return np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+
+
+@lru_cache(maxsize=None)
+def _drift_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Powers j - k of t in drift_matrix(n, t) and their factorials, 0 and inf where j < k."""
+    diff = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    fact = np.array([math.factorial(d) if d >= 0 else math.inf for d in diff.flat], dtype=float)
+    return _readonly(np.maximum(diff, 0)), _readonly(fact.reshape(diff.shape))
+
+
+@lru_cache(maxsize=None)
 def _a_lambda_a_float(n: int) -> np.ndarray:
     """A' Lambda A computed exactly, then converted: the t = 1 inverse covariance."""
     a = exact.a_matrix(n)
@@ -116,12 +141,10 @@ class TimeScaling:
         _check_time(self.t)
 
     def diag(self) -> np.ndarray:
-        k = np.arange(self.order + 1)
-        return self.t ** -(k + 0.5)
+        return self.t ** _half_powers(self.order)[0]
 
     def inverse_diag(self) -> np.ndarray:
-        k = np.arange(self.order + 1)
-        return self.t ** (k + 0.5)
+        return self.t ** _half_powers(self.order)[1]
 
 
 def covariance_r(n: int, t: float) -> np.ndarray:
@@ -157,14 +180,12 @@ def drift_matrix(n: int, t: float) -> np.ndarray:
     later.  Equal to T^-1(t) Gamma T(t) for t > 0, and to the identity at
     t = 0.
     """
-    n = _check_nonnegative(n)
-    j = np.arange(n + 1)
-    diff = j[:, None] - j[None, :]
-    fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
-    out = np.zeros((n + 1, n + 1))
-    mask = diff >= 0
-    out[mask] = (float(t) ** diff[mask]) / fact[diff[mask]]
-    return out
+    return _drift(_check_nonnegative(n), t)
+
+
+def _drift(n: int, t: float) -> np.ndarray:
+    powers, fact = _drift_pattern(n)
+    return float(t) ** powers / fact
 
 
 def mean_mu(a, t: float) -> np.ndarray:
@@ -177,8 +198,7 @@ def mean_mu(a, t: float) -> np.ndarray:
 def star_vector(x) -> np.ndarray:
     """Sign flip of the odd-index components: out[k] = (-1)^k x[k]."""
     xv = _as_state(x)
-    signs = np.where(np.arange(xv.size) % 2 == 0, 1.0, -1.0)
-    return xv * signs
+    return xv * _star_signs(xv.size)
 
 
 def _half_quadratic_form(u: np.ndarray, v: np.ndarray | None = None) -> float:
@@ -279,13 +299,15 @@ def log_transition_density(w, a, t: float) -> float:
     av = _as_state(a, "state a")
     if wv.size != av.size:
         raise ValueError("states w and a must have the same order")
-    n = wv.size - 1
-    d = TimeScaling(n, t).diag()
-    return (
-        -0.5 * (n + 1) ** 2 * math.log(t)
-        + _log_k(n)
-        - _half_quadratic_form(d * wv, d * av)
-    )
+    _check_time(t)
+    return _log_transition_density(wv, av, t)
+
+
+def _log_transition_density(w: np.ndarray, a: np.ndarray, t: float) -> float:
+    """log_transition_density for checked states of one order and a checked t."""
+    n = w.size - 1
+    d = t ** _half_powers(n)[0]
+    return -0.5 * (n + 1) ** 2 * math.log(t) + _log_k(n) - _half_quadratic_form(d * w, d * a)
 
 
 def transition_density(w, a, t: float) -> float:

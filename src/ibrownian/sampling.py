@@ -43,11 +43,12 @@ PCG64, found through BitGenerator.ctypes; a probe checks that state's
 layout once per process.  path_generator builds the stream the direct way
 and is the bit-level reference the tests compare with.
 
-The Laplace path set (_integrated_w1sq) runs its blocks on up to
-_WORKERS threads, one per CPU the process may use and at most 8; numpy
-releases the GIL while it draws normals and takes cumulative sums.  The
-workers split one byte budget for their buffers, so memory does not grow
-with the thread count, and the result does not depend on it.
+The Laplace path set (_integrated_w1sq) runs on up to _WORKERS threads,
+one per CPU the process may use and at most 8; numpy releases the GIL
+while it draws normals and takes cumulative sums.  Each worker seeds one
+contiguous range of paths once and makes it block by block in buffers the
+calling thread allocated, all within one byte budget, so neither memory
+nor the result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -62,12 +63,8 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import (
-    _a_inverse_float,
-    _lambda_diag,
-    drift_matrix,
-    log_transition_density,
-    star_vector,
-    TimeScaling,
+    _a_inverse_float, _check_time, _drift, _half_powers, _lambda_root, _log_transition_density,
+    _star_signs,
 )
 from .exact import _check_nonnegative
 
@@ -99,9 +96,13 @@ def covariance_root(n: int, t: float) -> np.ndarray:
     Built as T^-1(t) A^-1 Lambda^-1/2 from the exact layer; never a
     floating-point Cholesky of the ill-conditioned covariance itself.
     """
-    scale = TimeScaling(n, t).inverse_diag()
-    lam_root = np.sqrt(1.0 / _lambda_diag(n))
-    return scale[:, None] * _a_inverse_float(n) * lam_root[None, :]
+    n = _check_nonnegative(n)
+    _check_time(t)
+    return _covariance_root(n, t)
+
+
+def _covariance_root(n: int, t: float) -> np.ndarray:  # n and t checked
+    return (t ** _half_powers(n)[1])[:, None] * _a_inverse_float(n) * _lambda_root(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +153,12 @@ class MCEstimate:
             raise ValueError("a standard error needs at least 2 paths")
 
 
-def _validate_w_times(times: np.ndarray) -> None:
+def _validate_times(times: np.ndarray, positive: bool) -> None:
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty one-dimensional array")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if times[0] <= 0.0:
+    if positive and times[0] <= 0.0:
         raise ValueError("first sampling time must be positive")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
@@ -327,39 +328,37 @@ def _pcg64_word_order() -> tuple[int, ...]:
     )
 
 
-def _path_normals(
-    seed: int, first_path: int, n_paths: int, steps: int, width: int, out=None
-) -> np.ndarray:
+def _loaded_streams(seed_words: list[np.ndarray], start: int, stop: int):
+    """Yield one Generator per path start <= i < stop, loaded with path i's stream.
+
+    It is the same Generator each time: one _pcg64_states run's (state, inc)
+    are copied into its PCG64's C struct 32 bytes at a time, in the order
+    _pcg64_word_order found (a memoryview copy costs a third of a memmove)."""
+    order = _pcg64_word_order()
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    state = memoryview(_pcg64_words(bits)).cast("B")
+    for words in _pcg64_states(seed_words, start, stop):
+        src = memoryview(np.ascontiguousarray(words[:, order])).cast("B")
+        for offset in range(0, len(src), 32):
+            state[:] = src[offset : offset + 32]
+            yield gen
+
+
+def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: int) -> np.ndarray:
     """Standard normals of paths first_path.., shape (n_paths, steps, width).
 
     Row i holds the first steps*width normals of path_generator(seed,
-    first_path + i), bit for bit.  The normals are written into `out` when
-    given (a C-contiguous float64 array of that shape), else a new array.
-    Each path's (state, inc) is copied into one reused PCG64 as 32 bytes,
-    in the word order _pcg64_word_order found; a memoryview slice copy
-    costs a third of a ctypes.memmove call.
+    first_path + i), bit for bit.
     """
     if not isinstance(first_path, (int, np.integer)):
         raise TypeError(f"path index must be an integer, not {first_path!r}")
     if first_path < 0:
         raise ValueError("path index must be non-negative")
     start = int(first_path)
-    blocks = _pcg64_states(_seed_words(seed), start, start + n_paths)
-    order = _pcg64_word_order()
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    state = memoryview(_pcg64_words(bits)).cast("B")
-    if out is None:
-        out = np.empty((n_paths, steps, width))
-    elif out.shape != (n_paths, steps, width):
-        raise ValueError(f"out has shape {out.shape}, need {(n_paths, steps, width)}")
-    rows = iter(out)
-    for words in blocks:
-        src = memoryview(np.ascontiguousarray(words[:, order])).cast("B")
-        # range first: zip stops there without taking a row of the next block.
-        for offset, row in zip(range(0, len(src), 32), rows):
-            state[:] = src[offset : offset + 32]
-            gen.standard_normal(out=row)
+    out = np.empty((n_paths, steps, width))
+    for row, gen in zip(out, _loaded_streams(_seed_words(seed), start, start + n_paths)):
+        gen.standard_normal(out=row)
     return out
 
 
@@ -388,7 +387,7 @@ def _states_from_normals(zs: np.ndarray, h: np.ndarray) -> None:
     """
     n = zs.shape[2] - 1
     a_inv = _a_inverse_float(n)
-    lam_root = np.sqrt(1.0 / _lambda_diag(n))
+    lam_root = _lambda_root(n)
     for m in range(n, -1, -1):
         # An exponent array, as covariance_root passes: numpy evaluates a
         # scalar exponent 0.5 as sqrt, which can differ from pow in the last bit.
@@ -421,7 +420,7 @@ def sample_w_paths(
     if n_paths < 1:
         raise ValueError("need at least one path")
     tgrid = np.asarray(times, dtype=float)
-    _validate_w_times(tgrid)
+    _validate_times(tgrid, positive=True)
 
     states = _path_normals(seed, first_path, n_paths, tgrid.size, n + 1)
     _states_from_normals(states, np.diff(tgrid, prepend=0.0))
@@ -433,25 +432,6 @@ def sample_w(n: int, times, seed: int) -> PathSample:
     tgrid = np.array(times, dtype=float)  # copy: PathSample freezes its arrays
     states = sample_w_paths(n, tgrid, 1, seed)[0]
     return PathSample(order=n, times=tgrid, states=states, seed=seed)
-
-
-def _x_scaling(n: int, times: np.ndarray) -> np.ndarray:
-    k = np.arange(n + 1)
-    return np.exp(-np.multiply.outer(times, k + 0.5))
-
-
-def _validate_x_times(n: int, times: np.ndarray) -> None:
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty one-dimensional array")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    last_time = _MAX_LOG_TIME / max(1.0, n + 0.5)
-    if times[-1] > last_time:
-        raise ValueError(
-            f"times beyond {last_time:g} overflow the exponential clock at order {n}"
-        )
 
 
 def sample_x_paths(
@@ -466,9 +446,12 @@ def sample_x_paths(
     """
     n = _check_nonnegative(n)
     tgrid = np.asarray(times, dtype=float)
-    _validate_x_times(n, tgrid)
+    _validate_times(tgrid, positive=False)
+    last_time = _MAX_LOG_TIME / max(1.0, n + 0.5)
+    if tgrid[-1] > last_time:
+        raise ValueError(f"times beyond {last_time:g} overflow the exponential clock at order {n}")
     w = sample_w_paths(n, np.exp(tgrid), n_paths, seed, first_path)
-    return w * _x_scaling(n, tgrid)[None, :, :]
+    return w * np.exp(-np.multiply.outer(tgrid, _half_powers(n)[1]))
 
 
 def sample_x(n: int, times, seed: int) -> PathSample:
@@ -496,24 +479,19 @@ def closed_form_quadratic_laplace(theta: float) -> float:
         return 2.0 * math.sqrt(2.0) * math.exp(-u)
 
 
-def _w1sq_blocks(seed: int, h: np.ndarray, starts, block: int, out: np.ndarray) -> None:
-    """Write the trapezoid value of each path of the blocks at `starts` into `out`.
-
-    One worker of _integrated_w1sq: it owns its (block, grid, 2) normals
-    buffer and (block, grid) buffer of squares, reused across its blocks,
-    the last block through a view, and writes only out[start : start +
-    block] for each of its starts.
-    """
-    n_paths, grid_size, dt = out.size, h.size, h[0]
-    normals = np.empty((block, grid_size, 2))
-    squares = np.empty((block, grid_size))
-    for start in starts:
-        m = min(block, n_paths - start)
-        states = _path_normals(seed, start, m, grid_size, 2, out=normals[:m])
-        _states_from_normals(states, h)
+def _w1sq_blocks(seed: int, h: np.ndarray, start: int, stop: int, normals, squares, out) -> None:
+    """One worker of _integrated_w1sq: out[i] for start <= i < stop, in blocks of
+    len(normals) paths that reuse the normals and squares buffers."""
+    streams = _loaded_streams(_seed_words(seed), start, stop)
+    for lo in range(start, stop, len(normals)):
+        zs = normals[: stop - lo]
+        # zs first: zip stops there without loading the next block's stream.
+        for row, gen in zip(zs, streams):
+            gen.standard_normal(out=row)
+        _states_from_normals(zs, h)
         # Contiguous rows: one pairwise sum per path.
-        sq = np.square(states[:, :, 1], out=squares[:m])
-        out[start : start + m] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * dt
+        sq = np.square(zs[:, :, 1], out=squares[: len(zs)])
+        out[lo : lo + len(zs)] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * h[0]
 
 
 @lru_cache(maxsize=2)
@@ -524,19 +502,17 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
     j/grid_size, j = 1..grid_size, with the exact zero state at t = 0
     supplying the left endpoint of the first trapezoid.
 
-    Paths are made in blocks on W threads, W being _WORKERS lowered until
-    each worker has at least one full block.  The workers split one byte
-    budget: a block holds max(1, _LAPLACE_BLOCK_BYTES // W // (16 *
-    grid_size)) paths (64 at grid 1024 on 2 workers, 128 on one, one path
-    beyond grid 131072), and each worker reuses its own normals and squares
-    buffers, so memory is a few budgets for any n_paths, grid_size up to
-    131072 and W.  Worker k takes blocks k, k + W, k + 2W, ...; the calling
-    thread is worker 0, then joins the others and raises the first
-    exception a worker caught, so a failed call caches nothing.  Workers
-    call only private functions: bench/tracer.py keeps one span stack per
-    process for the public ones.  Every path has its own stream and the
-    kernel is batch-invariant, so neither W, the block size nor the order
-    in which workers finish moves a bit.
+    W threads (_WORKERS, lowered until each has a full block) split one
+    budget: a block is max(1, _LAPLACE_BLOCK_BYTES // W // (16 * grid_size))
+    paths, 64 at grid 1024 on 2 workers.  Worker k seeds paths [k n_paths //
+    W, (k + 1) n_paths // W) once and makes them block by block in buffers
+    this thread allocates, so memory is a few budgets for any n_paths, W and
+    grid_size up to 131072.  This thread is worker 0, then joins the others
+    and raises the first exception a worker caught, so a failed call caches
+    nothing.  Workers call only private functions: bench/tracer.py keeps one
+    span stack per process for the public ones.  Every path has its own
+    stream and the kernel is batch-invariant, so neither W, the block size
+    nor the order in which workers finish moves a bit.
     """
     per_path = 16 * grid_size
     workers = min(_WORKERS, n_paths)
@@ -544,12 +520,15 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
         workers -= 1
     block = min(n_paths, max(1, _LAPLACE_BLOCK_BYTES // workers // per_path))
     h = np.full(grid_size, 1.0 / grid_size)
+    normals = np.empty((workers, block, grid_size, 2))
+    squares = np.empty((workers, block, grid_size))
     out = np.empty(n_paths)
     errors = []
 
     def work(k: int) -> None:
         try:
-            _w1sq_blocks(seed, h, range(k * block, n_paths, workers * block), block, out)
+            bounds = (k * n_paths // workers, (k + 1) * n_paths // workers)
+            _w1sq_blocks(seed, h, *bounds, normals[k], squares[k], out)
         except BaseException as exc:
             errors.append(exc)
 
@@ -607,14 +586,15 @@ def mc_transition_symmetry(n: int, trials: int, seed: int) -> dict:
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = path_generator(seed, 0)
+    signs = _star_signs(n + 1)
     worst = 0.0
     for _ in range(trials):
         t = 10.0 ** rng.uniform(-1.0, 1.0)
-        root = covariance_root(n, t)
+        root = _covariance_root(n, t)
         a = root @ rng.standard_normal(n + 1)
-        w = drift_matrix(n, t) @ a + root @ rng.standard_normal(n + 1)
-        forward = log_transition_density(w, a, t)
-        flipped = log_transition_density(star_vector(a), star_vector(w), t)
+        w = _drift(n, t) @ a + root @ rng.standard_normal(n + 1)
+        forward = _log_transition_density(w, a, t)
+        flipped = _log_transition_density(a * signs, w * signs, t)
         worst = max(worst, abs(math.expm1(flipped - forward)))
     return {
         "test": f"transition-symmetry-n{n}",

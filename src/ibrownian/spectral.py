@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import _check_nonnegative
 
@@ -269,7 +268,6 @@ def _closed_form_terms(j: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def cross_correlation(j: int, k: int) -> CorrelationExpansion:
     """Closed-form stationary cross-covariance of components j and k.
 

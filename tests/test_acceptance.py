@@ -15,6 +15,7 @@ from ibrownian import verification
 from ibrownian.cli import main
 from ibrownian.densities import (
     covariance_r,
+    drift_matrix,
     log_density_w,
     log_transition_density,
     mean_mu,
@@ -25,7 +26,6 @@ from ibrownian.densities import (
 from ibrownian.sampling import (
     closed_form_quadratic_laplace,
     covariance_root,
-    drift_matrix,
     mc_quadratic_laplace,
     path_generator,
 )

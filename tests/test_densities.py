@@ -164,6 +164,19 @@ class TestDriftAndMean:
         b1, b2 = drift_matrix(3, 0.7), drift_matrix(3, 1.1)
         assert b1 @ b2 == pytest.approx(drift_matrix(3, 1.8), rel=1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 0.37, 1.0, 2.5, 1e10, np.float64(3.3), 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 24])
+    def test_entries_bit_for_bit(self, n, t):
+        # numpy's power t^(j-k) over (j-k)! below the diagonal, +0.0 above.
+        # numpy's array power can differ from math.pow in the last bit.
+        got = drift_matrix(n, t)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                entry = 0.0
+                if j >= k:
+                    entry = (float(t) ** np.array([j - k]))[0] / float(math.factorial(j - k))
+                assert got[j, k].hex() == float(entry).hex(), (j, k)
+
 
 class TestTimeScaling:
     def test_diag_values(self):

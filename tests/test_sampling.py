@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ibrownian import sampling
-from ibrownian.densities import covariance_r, drift_matrix
+from ibrownian.densities import covariance_r, drift_matrix, log_transition_density, star_vector
 from ibrownian.sampling import (
     MCEstimate,
     PathSample,
@@ -314,12 +314,6 @@ class TestStepKernel:
             tracemalloc.stop()
         assert peak < 3 * sampling._LAPLACE_BLOCK_BYTES
 
-    def test_path_normals_fills_out(self):
-        buf = np.empty((5, 3, 2))
-        assert _path_normals(4, 2, 5, 3, 2, out=buf) is buf
-        assert np.array_equal(buf, _path_normals(4, 2, 5, 3, 2))
-        with pytest.raises(ValueError, match="shape"):
-            _path_normals(4, 2, 5, 3, 2, out=np.empty((4, 3, 2)))
 
 
 class BlockFailure(Exception):
@@ -361,18 +355,58 @@ class TestLaplaceWorkers:
         monkeypatch.setattr(sampling.threading, "Thread", spy)
         return count
 
-    # 2500 and 1100 paths divide into no block size of grid 128 (1024, 512
-    # and 341 paths for 1, 2 and 3 workers); a grid beyond the budget makes
-    # one path per block.
-    @pytest.mark.parametrize("n_paths,grid", [(2500, 128), (1100, 128), (3, 131_073)])
-    @pytest.mark.parametrize("workers", [2, 3])
+    # 2500 and 1100 paths divide into no block size of grid 128 (1024, 512,
+    # 341 and 128 paths for 1, 2, 3 and 8 workers); a grid beyond the budget
+    # makes one path per block.  The worker ranges of 3001 paths (and those
+    # of 2049 for 3 workers) start inside a 1024-path seed block and inside
+    # a block of the worker before.
+    @pytest.mark.parametrize(
+        "n_paths,grid", [(2500, 128), (1100, 128), (3, 131_073), (2049, 128), (3001, 128)]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_worker_count_does_not_move_bits(self, workers, n_paths, grid, monkeypatch, started):
-        monkeypatch.setattr(sampling, "_WORKERS", 1)
-        one = _integrated_w1sq.__wrapped__(n_paths, grid, 9)
-        assert not started
+        h = np.full(grid, 1.0 / grid)
+        states = _path_normals(9, 0, n_paths, grid, 2)
+        sampling._states_from_normals(states, h)
+        sq = np.square(states[:, :, 1])
+        direct = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * h[0]
         monkeypatch.setattr(sampling, "_WORKERS", workers)
-        assert np.array_equal(_integrated_w1sq.__wrapped__(n_paths, grid, 9), one)
-        assert len(started) == workers - 1
+        assert np.array_equal(_integrated_w1sq.__wrapped__(n_paths, grid, 9), direct)
+        assert len(started) == min(workers, n_paths) - 1
+
+    def test_worker_count_does_not_move_bits_at_bench_size(self, monkeypatch, started):
+        # Blocks of 64, 42 and 16 paths; the ranges start at 5000, 3333 and
+        # 1250 k, inside seed blocks and budget blocks alike.
+        monkeypatch.setattr(sampling, "_WORKERS", 1)
+        one = _integrated_w1sq.__wrapped__(10_000, 1024, 9)
+        for workers in (2, 3, 8):
+            monkeypatch.setattr(sampling, "_WORKERS", workers)
+            assert np.array_equal(_integrated_w1sq.__wrapped__(10_000, 1024, 9), one), workers
+        assert len(started) == 1 + 2 + 7
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_worker_seeds_its_range_once(self, workers, monkeypatch):
+        sampling._pcg64_word_order()  # the probe's own PCG64, once per process
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        built, runs = [], []
+        real_pcg64, real_states = np.random.PCG64, sampling._pcg64_states
+
+        def pcg64(*args, **kwargs):
+            built.append(1)
+            return real_pcg64(*args, **kwargs)
+
+        def states(seed_words, start, stop):
+            runs.append((start, stop))
+            return real_states(seed_words, start, stop)
+
+        monkeypatch.setattr(sampling.np.random, "PCG64", pcg64)
+        monkeypatch.setattr(sampling, "_pcg64_states", states)
+        # 3001 paths at grid 128: each worker has several budget blocks, and
+        # all but the first worker's range cross a multiple of 1024.
+        _integrated_w1sq.__wrapped__(3001, 128, 9)
+        bounds = [k * 3001 // workers for k in range(workers + 1)]
+        assert sorted(runs) == list(zip(bounds, bounds[1:]))
+        assert len(built) == workers
 
     def test_worker_count_is_the_usable_cpus_at_most_8(self):
         # Where os.sched_getaffinity is missing (Windows, macOS) the count
@@ -426,31 +460,36 @@ class TestLaplaceWorkers:
         assert len(started) == 2
         assert peak < 3 * sampling._LAPLACE_BLOCK_BYTES
 
-    # 2 workers at grid 128 make blocks of 512 paths: worker 1 (a thread)
-    # takes the block at 512, worker 0 (the caller) the block at 1024.
+    # 2 workers at grid 128 take paths [0, 1024) and [1024, 2048) in blocks
+    # of 512: the block at 512 is worker 0's (the caller's) second, the block
+    # at 1024 worker 1's (a thread's) first.  The kernel, called once per
+    # block, knows a block by the first normal of its first path.
     @pytest.mark.parametrize("failing_start", [512, 1024])
     def test_failing_worker_fails_the_call(self, failing_start, monkeypatch):
         monkeypatch.setattr(sampling, "_WORKERS", 1)
-        expected = _integrated_w1sq.__wrapped__(2500, 128, 9)
+        expected = _integrated_w1sq.__wrapped__(2048, 128, 9)
         monkeypatch.setattr(sampling, "_WORKERS", 2)
-        real, calls, failed = sampling._path_normals, [], []
+        path_of = {z: i for i, z in enumerate(_path_normals(9, 0, 2048, 1, 1)[:, 0, 0].tolist())}
+        real, calls, failed = sampling._states_from_normals, [], []
 
-        def fail_once(seed, first_path, *args, **kwargs):
-            calls.append(first_path)
-            if first_path == failing_start and not failed:
-                failed.append(first_path)
-                raise BlockFailure(first_path)
-            return real(seed, first_path, *args, **kwargs)
+        def fail_once(zs, h):
+            start = path_of[float(zs[0, 0, 0])]
+            calls.append(start)
+            if start == failing_start and not failed:
+                failed.append(threading.current_thread() is threading.main_thread())
+                raise BlockFailure(start)
+            return real(zs, h)
 
-        monkeypatch.setattr(sampling, "_path_normals", fail_once)
+        monkeypatch.setattr(sampling, "_states_from_normals", fail_once)
         _integrated_w1sq.cache_clear()
         try:
             with pytest.raises(BlockFailure, match=str(failing_start)):
-                _integrated_w1sq(2500, 128, 9)
+                _integrated_w1sq(2048, 128, 9)
+            assert failed == [failing_start == 512]  # in the caller, else in the thread
             assert _integrated_w1sq.cache_info().currsize == 0
             del calls[:]
-            assert np.array_equal(_integrated_w1sq(2500, 128, 9), expected)
-            assert sorted(calls) == list(range(0, 2500, 512))  # recomputed, all blocks
+            assert np.array_equal(_integrated_w1sq(2048, 128, 9), expected)
+            assert sorted(calls) == list(range(0, 2048, 512))  # recomputed, all blocks
         finally:
             _integrated_w1sq.cache_clear()
 
@@ -674,6 +713,34 @@ class TestTransitionSymmetryMC:
         report = mc_transition_symmetry(2, 300, 2)
         assert set(report) == {"test", "statistic", "bound", "pass"}
         assert report["pass"] and report["statistic"] < 1e-9
+
+    # The report reads 0.0 at seeds like these (forward and flipped agree
+    # exactly), so it would not show a drift of the loop from the public
+    # functions: each trial's pair is checked against them, bit for bit.
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    @pytest.mark.parametrize("n", range(7))
+    def test_each_trial_is_the_public_density_pair(self, n, seed, monkeypatch):
+        real, got = sampling._log_transition_density, []
+
+        def record(w, a, t):
+            got.append(real(w, a, t))
+            return got[-1]
+
+        monkeypatch.setattr(sampling, "_log_transition_density", record)
+        report = mc_transition_symmetry(n, 200, seed)
+        rng = path_generator(seed, 0)
+        expected, worst = [], 0.0
+        for _ in range(200):
+            t = 10.0 ** rng.uniform(-1.0, 1.0)
+            root = covariance_root(n, t)
+            a = root @ rng.standard_normal(n + 1)
+            w = drift_matrix(n, t) @ a + root @ rng.standard_normal(n + 1)
+            forward = log_transition_density(w, a, t)
+            flipped = log_transition_density(star_vector(a), star_vector(w), t)
+            expected += [forward, flipped]
+            worst = max(worst, abs(math.expm1(flipped - forward)))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert report["statistic"] == worst
 
     def test_validation(self):
         with pytest.raises(ValueError):
