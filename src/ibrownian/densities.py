@@ -87,11 +87,6 @@ def _half_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(-up), _readonly(up)
 
 
-def _star_signs(size: int) -> np.ndarray:
-    """(-1)^k for k < size, the factors of star_vector."""
-    return np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-
-
 @lru_cache(maxsize=None)
 def _drift_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Powers j - k of t in drift_matrix(n, t) and their factorials, 0 and inf where j < k."""
@@ -198,7 +193,8 @@ def mean_mu(a, t: float) -> np.ndarray:
 def star_vector(x) -> np.ndarray:
     """Sign flip of the odd-index components: out[k] = (-1)^k x[k]."""
     xv = _as_state(x)
-    return xv * _star_signs(xv.size)
+    signs = np.where(np.arange(xv.size) % 2 == 0, 1.0, -1.0)
+    return xv * signs
 
 
 def _half_quadratic_form(u: np.ndarray, v: np.ndarray | None = None) -> float:

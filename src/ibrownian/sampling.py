@@ -63,8 +63,13 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import (
-    _a_inverse_float, _check_time, _drift, _half_powers, _lambda_root, _log_transition_density,
-    _star_signs,
+    _a_inverse_float,
+    _check_time,
+    _drift,
+    _half_powers,
+    _lambda_root,
+    _log_transition_density,
+    star_vector,
 )
 from .exact import _check_nonnegative
 
@@ -586,7 +591,7 @@ def mc_transition_symmetry(n: int, trials: int, seed: int) -> dict:
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = path_generator(seed, 0)
-    signs = _star_signs(n + 1)
+    signs = star_vector(np.ones(n + 1))
     worst = 0.0
     for _ in range(trials):
         t = 10.0 ** rng.uniform(-1.0, 1.0)

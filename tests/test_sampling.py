@@ -785,6 +785,42 @@ class TestVerificationSuites:
         with pytest.raises(error, match="seed"):
             verification.run_suite("chained", seed=seed)
 
+    # The moment suites build their products one column at a time and sum
+    # each column once; their statistics must keep the bits of numpy's
+    # gather, broadcast, mean and std forms, which the reports print.
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    @pytest.mark.parametrize("n_paths", [2, 3, 1001])
+    def test_moment_statistics_keep_the_plain_numpy_bits(self, n_paths, seed):
+        def mean_and_se(products):
+            return products.mean(axis=0), products.std(axis=0, ddof=1) / math.sqrt(n_paths)
+
+        def max_z(products, targets):
+            mean, se = mean_and_se(products)
+            return float(np.max(np.abs(mean - targets) / se))
+
+        rows, cols = np.triu_indices(4)
+        w = sample_w_paths(3, (1.0,), n_paths, seed)[:, 0, :]
+        w_cov = max_z(w[:, rows] * w[:, cols], covariance_r(3, 1.0)[rows, cols])
+        x = sample_x_paths(0, (0.0, 0.5, 1.0, 2.0), n_paths, seed)[:, :, 0]
+        x0 = max_z(x[:, 0:1] * x[:, 1:], np.exp(-0.5 * np.array([0.5, 1.0, 2.0])))
+        w = sample_w_paths(2, (1.0, 1.5), n_paths, seed)
+        residual = w[:, 1, :] - w[:, 0, :] @ drift_matrix(2, 0.5).T
+        white = max_z((residual[:, :, None] * w[:, 0, None, :]).reshape(n_paths, -1), 0.0)
+        rows, cols = np.triu_indices(3)
+        direct = sample_w_paths(2, (1.0,), n_paths, seed)[:, 0, :]
+        chained = sample_w_paths(2, (0.5, 1.0), n_paths, seed + 1)[:, 1, :]
+        mean_d, se_d = mean_and_se(direct[:, rows] * direct[:, cols])
+        mean_c, se_c = mean_and_se(chained[:, rows] * chained[:, cols])
+        two_sample = float(np.max(np.abs(mean_d - mean_c) / np.hypot(se_d, se_c)))
+        got = [
+            verification.check_w_covariance(n_paths=n_paths, seed=seed),
+            verification.check_x0_autocovariance(n_paths=n_paths, seed=seed),
+            verification.check_renewal_whiteness(n_paths=n_paths, seed=seed),
+            verification.check_chained_vs_direct(n_paths=n_paths, seed=seed),
+        ]
+        expected = [w_cov, x0, white, two_sample]
+        assert [r["statistic"].hex() for r in got] == [v.hex() for v in expected]
+
     @pytest.mark.parametrize("n_paths", [1, 0, -3])
     def test_path_count_is_checked_before_any_suite(self, n_paths):
         with pytest.raises(ValueError, match="n_paths must be at least 2"):
