@@ -35,7 +35,7 @@ import numpy as np
 from . import exact, verification
 from .densities import log_density_w, log_transition_density
 from .sampling import PathSample, sample_w
-from .spectral import cross_correlation
+from .spectral import _correlation_rows, cross_correlation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -292,7 +292,7 @@ def _run_density(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _correlate_json(order: int, pairs: list, expansions: dict) -> Iterator[str]:
+def _correlate_json(order: int, pairs: list) -> Iterator[str]:
     """json.dumps({"order": order, "pairs": [...]}, indent=2), one pair at a time.
 
     Each pair is dumped on its own and indented to its depth in the
@@ -301,7 +301,7 @@ def _correlate_json(order: int, pairs: list, expansions: dict) -> Iterator[str]:
     """
     yield f'{{\n  "order": {order},\n  "pairs": [\n    '
     for i, (j, k) in enumerate(pairs):
-        pair = json.dumps({"j": j, "k": k, **expansions[(j, k)].to_json_dict()}, indent=2)
+        pair = json.dumps({"j": j, "k": k, **cross_correlation(j, k).to_json_dict()}, indent=2)
         yield ("" if i == 0 else ",\n    ") + pair.replace("\n", "\n    ")
     yield "\n  ]\n}"
 
@@ -314,17 +314,12 @@ def _run_correlate(ns: argparse.Namespace) -> int:
     if not (ns.tau_max > 0 and math.isfinite(2.0 * ns.tau_max)):
         raise ValueError("correlate needs --tau-max > 0 with 2 * tau-max finite")
     pairs = [(j, k) for j in range(ns.n + 1) for k in range(ns.n + 1)]
-    expansions = {pair: cross_correlation(*pair) for pair in pairs}
     if ns.fmt == "json":
-        _emit(_correlate_json(ns.n, pairs, expansions), ns.out)
+        _emit(_correlate_json(ns.n, pairs), ns.out)
         return EXIT_OK
-    taus = np.linspace(-ns.tau_max, ns.tau_max, CORRELATE_GRID_POINTS)
-    header = "tau," + ",".join(f"c{j}{k}" for j, k in pairs)
-    lines = [header]
-    for tau in taus:
-        row = [repr(float(tau))]
-        row += [repr(expansions[pair].at(float(tau))) for pair in pairs]
-        lines.append(",".join(row))
+    taus = np.linspace(-ns.tau_max, ns.tau_max, CORRELATE_GRID_POINTS).tolist()
+    lines = ["tau," + ",".join(f"c{j}{k}" for j, k in pairs)]
+    lines += [",".join(map(repr, [tau] + row)) for tau, row in zip(taus, _correlation_rows(ns.n, taus))]
     _emit("\n".join(lines) + "\n", ns.out)
     return EXIT_OK
 

@@ -16,8 +16,9 @@ does not depend on the size of the realization, so a realization at size N
 is the upper-left block of any larger one.  rho_matrix is the deliberate
 counterexample; its entries change whenever the realization grows.
 
-rho_matrix and mat_mul run in integer arithmetic (binomial sums, and dot
-products over common denominators) and build one Fraction per entry.
+rho_matrix and mat_mul run in integer arithmetic (a product of binomial
+coefficients, and dot products over common denominators) and build one
+Fraction per entry.
 
 Rows and columns are indexed from 0.  A realization "at dimension N" is an
 (N+1) x (N+1) dense list-of-lists.
@@ -227,34 +228,27 @@ def rho_inverse_matrix(dim: int) -> Matrix:
 def rho_matrix(dim: int) -> Matrix:
     """Exact inverse of rho_inverse_matrix(dim).
 
-    Closed form:
+    Every entry is an integer, Choi's product form of the inverse Hilbert
+    matrix (M.-D. Choi, "Tricks or Treats with the Hilbert Matrix", Amer.
+    Math. Monthly 90, 1983) at N = dim:
 
-        out[j][k] = (-1)^(j+k) * sum over m from max(j,k) to dim of
-                    (j+m)! (k+m)! (2m+1) / ((j!)^2 (k!)^2 (m-j)! (m-k)!)
+        out[j][k] = (-1)^(j+k) (j+k+1) C(N+j+1, N-k) C(N+k+1, N-j) C(j+k, j)^2
 
-    which is visibly symmetric in (j, k); the inverse of a symmetric matrix
-    has to be.  Every term is an integer, the binomial form of the inverse
-    Hilbert matrix (M.-D. Choi, "Tricks or Treats with the Hilbert Matrix",
-    Amer. Math. Monthly 90, 1983):
-
-        (2m+1) C(m+j, j) C(m, j) C(m+k, k) C(m, k),
-
-    so the sums run in integers, over the upper triangle only.  Unlike the
-    other families here the entries depend on the realization size, so
-    rho_matrix(N) is not a block of rho_matrix(N+1).  The same matrix equals
-    D^-1 A' Lambda A D^-1 with D = diag(j!), which is how the floating-point
-    layer factors it.
+    which is visibly symmetric in (j, k), as the inverse of a symmetric
+    matrix has to be; it is built over the upper triangle only, one
+    Fraction per entry.  Unlike the other families here the entries depend
+    on the realization size, so rho_matrix(N) is not a block of
+    rho_matrix(N+1).  The same matrix equals D^-1 A' Lambda A D^-1 with
+    D = diag(j!), which is how the floating-point layer factors it.
     """
     dim = _check_nonnegative(dim, "matrix dimension")
-    size = dim + 1
-    # u[j][m] = C(m+j, j) C(m, j), zero for m < j; w[k][m] = (2m+1) u[k][m].
-    u = [[math.comb(m + j, j) * math.comb(m, j) for m in range(size)] for j in range(size)]
-    w = [[(2 * m + 1) * v for m, v in enumerate(row)] for row in u]
-    out: Matrix = [[_ZERO] * size for _ in range(size)]
-    for j in range(size):
-        for k in range(j, size):
-            acc = sum(map(operator.mul, u[j][k:], w[k][k:]))
-            out[j][k] = out[k][j] = Fraction(-acc if (j + k) % 2 else acc)
+    comb = math.comb
+    out: Matrix = [[_ZERO] * (dim + 1) for _ in range(dim + 1)]
+    for j in range(dim + 1):
+        for k in range(j, dim + 1):
+            v = (j + k + 1) * comb(j + k, j) ** 2
+            v *= comb(dim + j + 1, dim - k) * comb(dim + k + 1, dim - j)
+            out[j][k] = out[k][j] = Fraction(-v if (j + k) % 2 else v)
     return out
 
 
@@ -268,7 +262,7 @@ def matrix_to_json(m: Matrix) -> dict:
         raise ValueError("expected a non-empty square matrix")
     return {
         "dim": size - 1,
-        "entries": [[str(Fraction(v)) for v in row] for row in m],
+        "entries": [[str(v if type(v) is Fraction else Fraction(v)) for v in row] for row in m],
     }
 
 

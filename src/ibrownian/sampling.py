@@ -205,16 +205,18 @@ def _generate_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     """
     hash_const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value, mult=_MULT_A):
         nonlocal hash_const
         value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _M32
-        value = value * hash_const
-        return value ^ (value >> 16)
+        hash_const = (hash_const * mult) & _M32
+        value *= hash_const
+        value ^= value >> 16
+        return value
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
+        result ^= result >> 16
+        return result
 
     pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
@@ -225,14 +227,9 @@ def _generate_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
 
+    # generate_state hashes the pool words in turn with its own constants.
     hash_const = _INIT_B
-    state = []
-    for k in range(8):
-        value = pool[k % 4] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _M32
-        value = value * hash_const
-        state.append(value ^ (value >> 16))
-    return state
+    return [hashmix(pool[k % 4], _MULT_B) for k in range(8)]
 
 
 def _pcg64_srandom(init: list[np.ndarray], seq: list[np.ndarray]) -> np.ndarray:
@@ -240,35 +237,46 @@ def _pcg64_srandom(init: list[np.ndarray], seq: list[np.ndarray]) -> np.ndarray:
     state = (inc + init) MULT + inc, mod 2**128.
 
     init and seq are 128-bit numbers as 4 limbs of 32 bits, least
-    significant first, each limb a uint64 array of one value per path.
-    Limbs stay below 2**32 between steps, so no uint64 operation wraps.
-    Returns a (paths, 4) uint64 array: state low, state high, inc low, inc
-    high.
+    significant first, each limb a uint64 array of one value per path; both
+    are overwritten, as the arithmetic runs in place.  Returns a (paths, 4)
+    uint64 array: state low, state high, inc low, inc high.
     """
-    inc = [((seq[k] << 1) | (seq[k - 1] >> 31 if k else 1)) & _M32 for k in range(4)]
-    base = _carry([i + x for i, x in zip(inc, init)])
-    # base * MULT mod 2**128: a limb product is below 2**64, so its low and
-    # high halves go to two columns; a column sums at most 7 halves.
-    cols = [0] * 4
-    for i in range(4):
-        for j in range(4 - i):
-            prod = base[i] * _PCG64_MULT_LIMBS[j]
-            cols[i + j] = cols[i + j] + (prod & _M32)
+    inc, base = seq, init
+    for k in range(3, -1, -1):  # from the top, so limb k - 1 is still seq's
+        inc[k] <<= 1
+        inc[k] |= inc[k - 1] >> 31 if k else 1
+        inc[k] &= _M32
+    _add_carry(base, inc)
+    # base * MULT mod 2**128 from the top limb down: a limb product's low half
+    # goes to its own column, its high half to the next (a column sums at most
+    # 7 halves), and once limb i's products are in, limb i holds column i.
+    prod = np.empty_like(base[0])
+    for i in range(3, -1, -1):
+        for j in range(3 - i, 0, -1):
+            np.multiply(base[i], _PCG64_MULT_LIMBS[j], out=prod)
+            base[i + j] += prod & _M32
             if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
-    state = _carry([c + i for c, i in zip(_carry(cols), inc)])
-    limbs = state + inc
-    return np.stack([lo | (hi << 32) for lo, hi in zip(limbs[::2], limbs[1::2])], axis=1)
+                base[i + j + 1] += prod >> 32
+        base[i] *= _PCG64_MULT_LIMBS[0]
+        if i < 3:
+            base[i + 1] += base[i] >> 32
+        base[i] &= _M32
+    _add_carry(base, inc)
+    limbs = base + inc
+    for lo, hi in zip(limbs[::2], limbs[1::2]):
+        hi <<= 32
+        hi |= lo
+    return np.stack(limbs[1::2], axis=1)
 
 
-def _carry(limbs: list) -> list:
-    """Limbs below 2**63 each, carried into 32-bit limbs of the same number mod 2**128."""
-    out, carry = [], 0
-    for limb in limbs:
-        limb = limb + carry
-        out.append(limb & _M32)
-        carry = limb >> 32
-    return out
+def _add_carry(limbs: list, addend: list) -> None:
+    """limbs += addend, carried in place into 32-bit limbs mod 2**128; no limb reaches 2**36."""
+    for k, limb in enumerate(addend):
+        limbs[k] += limb
+        if k:
+            limbs[k] += limbs[k - 1] >> 32
+            limbs[k - 1] &= _M32
+    limbs[3] &= _M32
 
 
 def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):

@@ -35,6 +35,7 @@ the residue calculus stays as its oracle and as the inner-product path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,13 +227,14 @@ class CorrelationExpansion:
                 raise ValueError("decay rates must be positive")
             if len(set(rates)) != len(rates):
                 raise ValueError("decay rates must be distinct")
-        # at() runs once per lag and pair, so the exact terms go to float here, once.
+        # at() runs once per lag and pair, so the terms go to float here, once.
         for name, side in (("_pos_floats", self.pos_terms), ("_neg_floats", self.neg_terms)):
-            object.__setattr__(self, name, tuple((float(c), float(r)) for c, r in side))
+            floats = tuple(tuple(map(float, column)) for column in zip(*side)) or ((), ())
+            object.__setattr__(self, name, floats)
 
     def at(self, tau: float) -> float:
-        side = self._pos_floats if tau >= 0 else self._neg_floats
-        return math.fsum(c * math.exp(-r * abs(tau)) for c, r in side)
+        coeffs, rates = self._pos_floats if tau >= 0 else self._neg_floats
+        return _exp_sum(coeffs, [math.exp(-r * abs(tau)) for r in rates])
 
     def at_zero(self) -> Fraction:
         """Exact variance/covariance at lag zero."""
@@ -248,6 +250,11 @@ class CorrelationExpansion:
             return [{"coeff": float(c), "rate": str(r)} for c, r in terms]
 
         return {"terms": side(self.pos_terms), "terms_negative": side(self.neg_terms)}
+
+
+def _exp_sum(coeffs, decays) -> float:
+    """Sum of coefficients times decays e^{-rate |tau|}: every float value of an expansion."""
+    return math.fsum(map(operator.mul, coeffs, decays))
 
 
 def _closed_form_terms(j: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -266,6 +273,17 @@ def _closed_form_terms(j: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
         (Fraction((-1) ** a, math.factorial(j - a) * math.factorial(a + k + 1)), half_integer(a))
         for a in range(j + 1)
     )
+
+
+def _correlation_rows(n: int, taus):
+    """Per tau, [cross_correlation(j, k).at(tau) for j, k in 0..n], bit for bit, from
+    one decay row e^{-(a + 1/2)|tau|}, a = 0..n, per tau (_exp_sum stops at a pair's last term)."""
+    pairs = [(j, k) for j in range(n + 1) for k in range(n + 1)]
+    floats = {pair: [float(c) for c, _ in _closed_form_terms(*pair)] for pair in pairs}
+    rates = [float(half_integer(a)) for a in range(n + 1)]
+    for tau in taus:
+        decays = [math.exp(-r * abs(tau)) for r in rates]
+        yield [_exp_sum(floats[j, k] if tau >= 0 else floats[k, j], decays) for j, k in pairs]
 
 
 def cross_correlation(j: int, k: int) -> CorrelationExpansion:

@@ -8,10 +8,11 @@ from.  The samplers' cumulative-sum kernel is checked against the plain
 step-by-step recursion.  The integer fast paths of the exact layer (rho_matrix,
 mat_mul), the float conversion in CorrelationExpansion and the sample CSV
 writer are checked against the plain Fraction and per-value code they
-replaced.
+replaced, and rho_matrix's product form against the binomial sum it replaced.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,25 @@ def rho_matrix_fraction_sum(dim):
                 )
             row.append(acc if (j + k) % 2 == 0 else -acc)
         out.append(row)
+    return out
+
+
+def rho_matrix_binomial_sum(dim):
+    """Inverse of the Hilbert-type matrix 1/(j+k+1) by Choi's binomial sum,
+
+        (-1)^(j+k) sum over m >= max(j, k) of (2m+1) C(m+j, j) C(m, j) C(m+k, k) C(m, k),
+
+    in integers over the upper triangle, mirrored, one Fraction per entry.
+    """
+    size = dim + 1
+    # u[j][m] = C(m+j, j) C(m, j), zero for m < j; w[k][m] = (2m+1) u[k][m].
+    u = [[math.comb(m + j, j) * math.comb(m, j) for m in range(size)] for j in range(size)]
+    w = [[(2 * m + 1) * v for m, v in enumerate(row)] for row in u]
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        for k in range(j, size):
+            acc = sum(map(operator.mul, u[j][k:], w[k][k:]))
+            out[j][k] = out[k][j] = Fraction(-acc if (j + k) % 2 else acc)
     return out
 
 

@@ -109,6 +109,7 @@ class TestInputCaps:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_correlate_over_cap_exits_before_any_expansion(self, capsys, monkeypatch, fmt):
         monkeypatch.setattr(cli, "cross_correlation", _must_not_be_called)
+        monkeypatch.setattr(cli, "_correlation_rows", _must_not_be_called)
         code, out, err = run_cli(
             capsys, "correlate", "--n", str(MAX_CORRELATE_N + 1), "--tau-max", "4",
             "--format", fmt,
@@ -249,6 +250,21 @@ class TestCorrelate:
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "c.json"))[0] == EXIT_OK
         assert (tmp_path / "c.json").read_text(encoding="utf-8") == whole + "\n"
 
+    @pytest.mark.parametrize("tau_max", ["1e-300", "0.37", "4", "40", "700"])
+    def test_csv_cells_are_expansion_values(self, capsys, tau_max):
+        # Every cell of the table, for every pair j, k <= 24, is the repr of
+        # cross_correlation(j, k).at(tau) on its row's tau, bit for bit.
+        code, out, err = run_cli(capsys, "correlate", "--n", "24", "--tau-max", tau_max)
+        assert code == EXIT_OK and err == ""
+        header, *rows = out.splitlines()
+        pairs = [(j, k) for j in range(25) for k in range(25)]
+        assert header == "tau," + ",".join(f"c{j}{k}" for j, k in pairs)
+        assert len(rows) == cli.CORRELATE_GRID_POINTS
+        expansions = [cross_correlation(j, k) for j, k in pairs]
+        for row in rows:
+            tau, *cells = row.split(",")
+            assert cells == [repr(e.at(float(tau))) for e in expansions], tau
+
     def test_bad_tau_max(self, capsys):
         code, _, _ = run_cli(capsys, "correlate", "--n", "1", "--tau-max", "0")
         assert code == EXIT_DOMAIN
@@ -256,6 +272,7 @@ class TestCorrelate:
     @pytest.mark.parametrize("tau_max", ["inf", "1e308"])
     def test_tau_max_with_overflowing_span_is_domain_error(self, capsys, monkeypatch, tau_max):
         monkeypatch.setattr(cli, "cross_correlation", _must_not_be_called)
+        monkeypatch.setattr(cli, "_correlation_rows", _must_not_be_called)
         code, out, err = run_cli(capsys, "correlate", "--n", "1", "--tau-max", tau_max)
         assert code == EXIT_DOMAIN and out == ""
         (line,) = err.splitlines()
@@ -365,6 +382,22 @@ GOLDEN_STDOUT_SHA256 = {
         "f2f04cf26c185c48556aa20b21c49c3fb9ba4f305866dc079bbbd66b2cb0d446",
     ("sample", "--n", "2", "--t", "10", "--grid", "2000", "--seed", "1"):
         "a6ab885a5bf5100e327bdffa81454d7fbe1d02cf6512b1545fb081a78e78eed6",
+    # Every matrix family at one size, pinned before rho_matrix moved from
+    # the binomial sum to the product form.
+    ("matrices", "--n", "12", "--which", "gamma"):
+        "bc9c69788c5d8b7de047025d1da355f43fc32f45fef281b0a6b8fbee94b86310",
+    ("matrices", "--n", "12", "--which", "b"):
+        "b6a8f5b0d074e1d765c54a823f3d745fcb7a926d55092b7d04648616eb35a880",
+    ("matrices", "--n", "12", "--which", "a"):
+        "e6942afd4a8626fa4190ecf30dea344f30ff4e41a3d347901be59ea29316d205",
+    ("matrices", "--n", "12", "--which", "a-inverse"):
+        "b65f8150bede9636d98f9f9bb66efd8b2391f92962af698a591fa06078cf7524",
+    ("matrices", "--n", "12", "--which", "lambda"):
+        "33a8f2822b21c321ac45e4a295183f9c77d9b17bdc0eb8e2bc32f8893aea49e1",
+    ("matrices", "--n", "12", "--which", "rho"):
+        "100a507ba1a7103206eb02ade9bdb2e4e53745c82f04698ed729a49493980df4",
+    ("matrices", "--n", "12", "--which", "rho-inverse"):
+        "979f1e9e540c1d9802eb14cdb527d52619513ca41455b1df8fc298bf3dfe9956",
 }
 
 

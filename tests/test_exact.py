@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import ibrownian.exact as ex
 from ibrownian import densities, sampling, spectral
-from oracles import exact_inverse, mat_mul_fraction_loop, rho_matrix_fraction_sum
+from oracles import (
+    exact_inverse,
+    mat_mul_fraction_loop,
+    rho_matrix_binomial_sum,
+    rho_matrix_fraction_sum,
+)
 
 F = Fraction
 
@@ -186,6 +191,12 @@ class TestRho:
         rho, rho_inv = ex.rho_matrix(100), ex.rho_inverse_matrix(100)
         assert ex.mat_mul(rho, rho_inv) == ex.identity(100)
 
+    @pytest.mark.parametrize("dim", [*range(0, 121), 360])
+    def test_product_form_matches_binomial_sum(self, dim):
+        rho = ex.rho_matrix(dim)
+        assert rho == rho_matrix_binomial_sum(dim)
+        assert all(type(v) is Fraction for row in rho for v in row)
+
 
 def random_rational_matrix(rng, rows, cols, zero_share=0.3):
     return [
@@ -323,6 +334,17 @@ class TestValidationAndJson:
     def test_json_fraction_strings(self):
         doc = ex.matrix_to_json(ex.gamma_matrix(2))
         assert doc["entries"][2][0] == "1/2"
+
+    def test_json_entry_types(self):
+        # A plain Fraction is printed as it is; any other entry, a Fraction
+        # subclass with its own str included, goes through Fraction first.
+        class Labelled(Fraction):
+            def __str__(self):
+                return "labelled"
+
+        m = [[7, F(-3, 4)], [Labelled(6, 4), 0.5]]
+        assert ex.matrix_to_json(m)["entries"] == [["7", "-3/4"], ["3/2", "1/2"]]
+        assert ex.matrix_to_json([[F(-36)]])["entries"] == [["-36"]]
 
     def test_json_shape_validation(self):
         with pytest.raises(ValueError):

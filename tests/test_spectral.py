@@ -8,6 +8,8 @@ import pytest
 
 from ibrownian import exact
 from ibrownian.spectral import (
+    _correlation_rows,
+    _exp_sum,
     _left_residue_terms,
     CorrelationExpansion,
     RationalTransfer,
@@ -247,6 +249,22 @@ class TestCrossCorrelation:
                 ), (j, k)
                 assert all(type(c) is Fraction and type(r) is Fraction
                            for c, r in expansion.pos_terms + expansion.neg_terms)
+
+    def test_shared_evaluator_at_signed_zero(self):
+        # At tau = +0.0 and -0.0 both callers of _exp_sum take the tau >= 0
+        # side with every decay 1.0, so each value is the fsum of that side's
+        # float coefficients, with the same sign of zero.
+        n = 6
+        plus, minus = _correlation_rows(n, [0.0, -0.0])
+        for index, (j, k) in enumerate((j, k) for j in range(n + 1) for k in range(n + 1)):
+            expansion = cross_correlation(j, k)
+            coeffs = [float(c) for c, _ in expansion.pos_terms]
+            want = math.fsum(coeffs)
+            assert _exp_sum(coeffs, [1.0] * len(coeffs)) == want
+            for got in (expansion.at(0.0), expansion.at(-0.0), plus[index], minus[index]):
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert math.copysign(1.0, _exp_sum((), ())) == 1.0
+        assert _exp_sum((2.0, -3.0, 5.0), (1.0, 1.0)) == -1.0  # stops at the shorter
 
     def test_at_bit_identical_to_per_call_conversion(self):
         taus = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 5e-324, -5e-324, math.inf, -math.inf]
