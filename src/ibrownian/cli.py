@@ -306,6 +306,13 @@ def _correlate_json(order: int, pairs: list) -> Iterator[str]:
     yield "\n  ]\n}"
 
 
+def _correlate_csv(order: int, pairs: list, taus: list) -> Iterator[str]:
+    """The CSV table, header and one row per tau, a line at a time."""
+    yield "tau," + ",".join(f"c{j}{k}" for j, k in pairs) + "\n"
+    for tau, row in zip(taus, _correlation_rows(order, taus)):
+        yield ",".join(map(repr, [tau] + row)) + "\n"
+
+
 def _run_correlate(ns: argparse.Namespace) -> int:
     if ns.n < 0:
         raise ValueError("correlate needs --n >= 0")
@@ -318,9 +325,7 @@ def _run_correlate(ns: argparse.Namespace) -> int:
         _emit(_correlate_json(ns.n, pairs), ns.out)
         return EXIT_OK
     taus = np.linspace(-ns.tau_max, ns.tau_max, CORRELATE_GRID_POINTS).tolist()
-    lines = ["tau," + ",".join(f"c{j}{k}" for j, k in pairs)]
-    lines += [",".join(map(repr, [tau] + row)) for tau, row in zip(taus, _correlation_rows(ns.n, taus))]
-    _emit("\n".join(lines) + "\n", ns.out)
+    _emit(_correlate_csv(ns.n, pairs, taus), ns.out)
     return EXIT_OK
 
 

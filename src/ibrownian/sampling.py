@@ -43,7 +43,9 @@ PCG64, found through BitGenerator.ctypes; a probe checks that state's
 layout once per process.  path_generator builds the stream the direct way
 and is the bit-level reference the tests compare with.
 
-The Laplace path set (_integrated_w1sq) runs on up to _WORKERS threads,
+The Laplace path set (_integrated_w1sq) is made once per call of
+mc_quadratic_laplace_thetas, which evaluates every theta it is given on
+it; nothing is kept between calls.  It runs on up to _WORKERS threads,
 one per CPU the process may use and at most 8; numpy releases the GIL
 while it draws normals and takes cumulative sums.  Each worker seeds one
 contiguous range of paths once and makes it block by block in buffers the
@@ -507,7 +509,6 @@ def _w1sq_blocks(seed: int, h: np.ndarray, start: int, stop: int, normals, squar
         out[lo : lo + len(zs)] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * h[0]
 
 
-@lru_cache(maxsize=2)
 def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
     """Per-path trapezoid value of the integral over [0,1] of W_1(t)^2.
 
@@ -521,11 +522,11 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
     W, (k + 1) n_paths // W) once and makes them block by block in buffers
     this thread allocates, so memory is a few budgets for any n_paths, W and
     grid_size up to 131072.  This thread is worker 0, then joins the others
-    and raises the first exception a worker caught, so a failed call caches
-    nothing.  Workers call only private functions: bench/tracer.py keeps one
-    span stack per process for the public ones.  Every path has its own
-    stream and the kernel is batch-invariant, so neither W, the block size
-    nor the order in which workers finish moves a bit.
+    and raises the first exception a worker caught.  Workers call only
+    private functions: bench/tracer.py keeps one span stack per process for
+    the public ones.  Every path has its own stream and the kernel is
+    batch-invariant, so neither W, the block size nor the order in which
+    workers finish moves a bit.  Each call makes a new path set.
     """
     per_path = 16 * grid_size
     workers = min(_WORKERS, n_paths)
@@ -553,7 +554,6 @@ def _integrated_w1sq(n_paths: int, grid_size: int, seed: int) -> np.ndarray:
         thread.join()
     if errors:
         raise errors[0]
-    out.setflags(write=False)
     return out
 
 
@@ -566,23 +566,38 @@ def mc_quadratic_laplace(
     trapezoid quadrature; the quadrature is the only source of bias, and
     acceptance bands allow 2/grid_size for it on top of 3 standard errors.
     """
-    if not (0.0 < theta < math.inf):
-        raise ValueError("theta must be finite and positive")
+    return mc_quadratic_laplace_thetas((theta,), n_paths, grid_size, seed)[0]
+
+
+# Public, not in __all__: bench/tracer.py spans public functions only (path set = sampling time).
+def mc_quadratic_laplace_thetas(
+    thetas, n_paths: int, grid_size: int, seed: int
+) -> list[MCEstimate]:
+    """mc_quadratic_laplace at each theta in turn, all on one path set.
+
+    Every argument is checked before a stream is seeded; the path set is
+    then made once, so each estimate equals a separate mc_quadratic_laplace
+    call at its theta, bit for bit.
+    """
+    thetas = tuple(thetas)
+    if not thetas:
+        raise ValueError("need at least one theta")
+    for theta in thetas:
+        if not (0.0 < theta < math.inf):
+            raise ValueError("theta must be finite and positive")
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     q = _integrated_w1sq(n_paths, grid_size, seed)
-    vals = np.exp(-(theta * theta / 2.0) * q)
-    mean = math.fsum(vals) / n_paths
-    var = math.fsum(np.square(vals - mean).tolist()) / (n_paths - 1)
-    return MCEstimate(
-        mean=mean,
-        std_error=math.sqrt(var / n_paths),
-        n_paths=n_paths,
-        grid_size=grid_size,
-        seed=seed,
-    )
+    estimates = []
+    for theta in thetas:
+        vals = np.exp(-(theta * theta / 2.0) * q)
+        mean = math.fsum(vals) / n_paths
+        var = math.fsum(np.square(vals - mean).tolist()) / (n_paths - 1)
+        estimates.append(MCEstimate(mean=mean, std_error=math.sqrt(var / n_paths),
+                                    n_paths=n_paths, grid_size=grid_size, seed=seed))
+    return estimates
 
 
 def mc_transition_symmetry(n: int, trials: int, seed: int) -> dict:

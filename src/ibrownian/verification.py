@@ -23,7 +23,7 @@ from .densities import covariance_r, drift_matrix
 from .sampling import (
     _seed_words,
     closed_form_quadratic_laplace,
-    mc_quadratic_laplace,
+    mc_quadratic_laplace_thetas,
     mc_transition_symmetry,
     sample_w_paths,
     sample_x_paths,
@@ -72,6 +72,8 @@ def check_x0_autocovariance(taus=(0.5, 1.0, 2.0),
                             n_paths: int = DEFAULT_PATHS, seed: int = DEFAULT_SEED) -> dict:
     """Lag covariance of the stationary order-0 component against e^(-tau/2)."""
     taus = tuple(float(tau) for tau in taus)
+    if not taus:
+        raise ValueError("need at least one lag")
     times = (0.0,) + taus
     x = sample_x_paths(0, times, n_paths, seed)[:, :, 0]
     products = x[:, 0:1] * x[:, 1:]
@@ -84,13 +86,13 @@ def check_quadratic_laplace(thetas=(0.5, 1.0, 2.0), n_paths: int = DEFAULT_PATHS
                             grid_size: int = DEFAULT_GRID, seed: int = DEFAULT_SEED) -> dict:
     """Laplace functional of the integrated square against its closed form.
 
-    One path set serves every theta (the per-theta estimates are the same
-    objects mc_quadratic_laplace returns for this seed).  The allowance per
-    theta is 3 standard errors plus 2/grid_size of quadrature bias.
+    One path set serves every theta (each estimate equals what
+    mc_quadratic_laplace returns at its theta for this seed).  The allowance
+    per theta is 3 standard errors plus 2/grid_size of quadrature bias.
     """
+    thetas = tuple(thetas)
     worst = 0.0
-    for theta in thetas:
-        est = mc_quadratic_laplace(theta, n_paths, grid_size, seed)
+    for theta, est in zip(thetas, mc_quadratic_laplace_thetas(thetas, n_paths, grid_size, seed)):
         allowance = 3.0 * est.std_error + 2.0 / grid_size
         deviation = abs(est.mean - closed_form_quadratic_laplace(theta))
         worst = max(worst, deviation / allowance)
@@ -147,9 +149,9 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED,
     """Run one named suite, or all of them in a fixed order.
 
     `thetas` overrides the laplace suite's default (0.5, 1, 2) triple.
-    The master seed and the path count are checked here, before any suite
-    runs: the suites offset the seed, and a moment needs two paths for its
-    standard error.
+    The master seed, the path count and that thetas is not empty are
+    checked here, before any suite runs: the suites offset the seed, and a
+    moment needs two paths for its standard error.
     """
     if name == "all":
         names = SUITE_ORDER
@@ -161,4 +163,6 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED,
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     chosen = (0.5, 1.0, 2.0) if thetas is None else tuple(thetas)
+    if not chosen:
+        raise ValueError("need at least one theta")
     return [SUITES[nm](seed, n_paths, grid_size, chosen) for nm in names]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,24 @@ class TestCorrelate:
         for row in rows:
             tau, *cells = row.split(",")
             assert cells == [repr(e.at(float(tau))) for e in expansions], tau
+
+    def test_csv_is_written_row_by_row(self, capsys, tmp_path, monkeypatch):
+        # The table goes to _emit a line at a time: with small write batches
+        # the peak is a row and the expansions, far below the whole table.
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 1 << 16)
+        monkeypatch.setattr(cli, "CORRELATE_GRID_POINTS", 1001)
+        target = tmp_path / "c.csv"
+        argv = ("correlate", "--n", "8", "--tau-max", "4", "--out", str(target))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_OK, "", "")
+        size = target.stat().st_size
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 1002
+        assert peak < size / 4, (peak, size)
 
     def test_bad_tau_max(self, capsys):
         code, _, _ = run_cli(capsys, "correlate", "--n", "1", "--tau-max", "0")

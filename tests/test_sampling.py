@@ -25,6 +25,7 @@ from ibrownian.sampling import (
     closed_form_quadratic_laplace,
     covariance_root,
     mc_quadratic_laplace,
+    mc_quadratic_laplace_thetas,
     mc_transition_symmetry,
     path_generator,
     sample_w,
@@ -289,26 +290,26 @@ class TestStepKernel:
                 acc += 0.5 * (prev_sq + cur * cur) / grid
                 prev_sq = cur * cur
             ref.append(acc)
-        got = _integrated_w1sq.__wrapped__(4, grid, 9)
+        got = _integrated_w1sq(4, grid, 9)
         assert got == pytest.approx(ref, rel=KERNEL_RTOL, abs=0)
 
     @pytest.mark.parametrize("paths_per_block", [1, 7, 333, 2500])
     def test_laplace_chunk_size_does_not_move_bits(self, paths_per_block, monkeypatch):
-        default = _integrated_w1sq.__wrapped__(2500, 128, 9)
+        default = _integrated_w1sq(2500, 128, 9)
         monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", paths_per_block * 128 * 2 * 8)
-        assert np.array_equal(_integrated_w1sq.__wrapped__(2500, 128, 9), default)
+        assert np.array_equal(_integrated_w1sq(2500, 128, 9), default)
 
     def test_laplace_grid_beyond_budget_keeps_bits(self, monkeypatch):
         grid = sampling._LAPLACE_BLOCK_BYTES // 16 + 1  # one path per block
-        one_per_block = _integrated_w1sq.__wrapped__(3, grid, 9)
+        one_per_block = _integrated_w1sq(3, grid, 9)
         monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", 3 * grid * 16)
-        assert np.array_equal(_integrated_w1sq.__wrapped__(3, grid, 9), one_per_block)
+        assert np.array_equal(_integrated_w1sq(3, grid, 9), one_per_block)
 
     def test_laplace_memory_is_bounded_by_the_block_budget(self):
-        _integrated_w1sq.__wrapped__(2, 128, 9)  # first-call set-up outside the trace
+        _integrated_w1sq(2, 128, 9)  # first-call set-up outside the trace
         tracemalloc.start()
         try:
-            _integrated_w1sq.__wrapped__(300, 4096, 9)  # 19.7 MB of normals in all
+            _integrated_w1sq(300, 4096, 9)  # 19.7 MB of normals in all
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -339,21 +340,22 @@ def public_layer_codes():
     return codes
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Count the threads the sampling module starts."""
+    count = []
+    real = threading.Thread
+
+    def spy(*args, **kwargs):
+        count.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampling.threading, "Thread", spy)
+    return count
+
+
 class TestLaplaceWorkers:
     """The Laplace path set on several threads: same bits, one memory budget."""
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """Count the threads the sampling module starts."""
-        count = []
-        real = threading.Thread
-
-        def spy(*args, **kwargs):
-            count.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sampling.threading, "Thread", spy)
-        return count
 
     # 2500 and 1100 paths divide into no block size of grid 128 (1024, 512,
     # 341 and 128 paths for 1, 2, 3 and 8 workers); a grid beyond the budget
@@ -371,17 +373,17 @@ class TestLaplaceWorkers:
         sq = np.square(states[:, :, 1])
         direct = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * h[0]
         monkeypatch.setattr(sampling, "_WORKERS", workers)
-        assert np.array_equal(_integrated_w1sq.__wrapped__(n_paths, grid, 9), direct)
+        assert np.array_equal(_integrated_w1sq(n_paths, grid, 9), direct)
         assert len(started) == min(workers, n_paths) - 1
 
     def test_worker_count_does_not_move_bits_at_bench_size(self, monkeypatch, started):
         # Blocks of 64, 42 and 16 paths; the ranges start at 5000, 3333 and
         # 1250 k, inside seed blocks and budget blocks alike.
         monkeypatch.setattr(sampling, "_WORKERS", 1)
-        one = _integrated_w1sq.__wrapped__(10_000, 1024, 9)
+        one = _integrated_w1sq(10_000, 1024, 9)
         for workers in (2, 3, 8):
             monkeypatch.setattr(sampling, "_WORKERS", workers)
-            assert np.array_equal(_integrated_w1sq.__wrapped__(10_000, 1024, 9), one), workers
+            assert np.array_equal(_integrated_w1sq(10_000, 1024, 9), one), workers
         assert len(started) == 1 + 2 + 7
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -403,7 +405,7 @@ class TestLaplaceWorkers:
         monkeypatch.setattr(sampling, "_pcg64_states", states)
         # 3001 paths at grid 128: each worker has several budget blocks, and
         # all but the first worker's range cross a multiple of 1024.
-        _integrated_w1sq.__wrapped__(3001, 128, 9)
+        _integrated_w1sq(3001, 128, 9)
         bounds = [k * 3001 // workers for k in range(workers + 1)]
         assert sorted(runs) == list(zip(bounds, bounds[1:]))
         assert len(built) == workers
@@ -429,13 +431,13 @@ class TestLaplaceWorkers:
 
     def test_more_workers_than_cpus_under_fast_thread_switching(self, monkeypatch, started):
         monkeypatch.setattr(sampling, "_WORKERS", 1)
-        one = _integrated_w1sq.__wrapped__(400, 128, 9)
+        one = _integrated_w1sq(400, 128, 9)
         monkeypatch.setattr(sampling, "_WORKERS", 8)
         monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", 8 * 3 * 128 * 16)  # 3 paths per block
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _integrated_w1sq.__wrapped__(400, 128, 9)
+            got = _integrated_w1sq(400, 128, 9)
         finally:
             sys.setswitchinterval(interval)
         assert len(started) == 7
@@ -444,16 +446,16 @@ class TestLaplaceWorkers:
     @pytest.mark.parametrize("n_paths", [2, 100, 1022])
     def test_run_under_one_block_per_worker_starts_no_thread(self, n_paths, monkeypatch, started):
         monkeypatch.setattr(sampling, "_WORKERS", 3)
-        got = _integrated_w1sq.__wrapped__(n_paths, 128, 9)
+        got = _integrated_w1sq(n_paths, 128, 9)
         assert not started
-        assert np.array_equal(got, _integrated_w1sq.__wrapped__(2500, 128, 9)[:n_paths])
+        assert np.array_equal(got, _integrated_w1sq(2500, 128, 9)[:n_paths])
 
     def test_memory_is_one_budget_across_workers(self, monkeypatch, started):
         monkeypatch.setattr(sampling, "_WORKERS", 3)
-        _integrated_w1sq.__wrapped__(2, 128, 9)  # first-call set-up outside the trace
+        _integrated_w1sq(2, 128, 9)  # first-call set-up outside the trace
         tracemalloc.start()
         try:
-            _integrated_w1sq.__wrapped__(300, 4096, 9)  # 19.7 MB of normals in all
+            _integrated_w1sq(300, 4096, 9)  # 19.7 MB of normals in all
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,7 +469,7 @@ class TestLaplaceWorkers:
     @pytest.mark.parametrize("failing_start", [512, 1024])
     def test_failing_worker_fails_the_call(self, failing_start, monkeypatch):
         monkeypatch.setattr(sampling, "_WORKERS", 1)
-        expected = _integrated_w1sq.__wrapped__(2048, 128, 9)
+        expected = _integrated_w1sq(2048, 128, 9)
         monkeypatch.setattr(sampling, "_WORKERS", 2)
         path_of = {z: i for i, z in enumerate(_path_normals(9, 0, 2048, 1, 1)[:, 0, 0].tolist())}
         real, calls, failed = sampling._states_from_normals, [], []
@@ -481,17 +483,12 @@ class TestLaplaceWorkers:
             return real(zs, h)
 
         monkeypatch.setattr(sampling, "_states_from_normals", fail_once)
-        _integrated_w1sq.cache_clear()
-        try:
-            with pytest.raises(BlockFailure, match=str(failing_start)):
-                _integrated_w1sq(2048, 128, 9)
-            assert failed == [failing_start == 512]  # in the caller, else in the thread
-            assert _integrated_w1sq.cache_info().currsize == 0
-            del calls[:]
-            assert np.array_equal(_integrated_w1sq(2048, 128, 9), expected)
-            assert sorted(calls) == list(range(0, 2048, 512))  # recomputed, all blocks
-        finally:
-            _integrated_w1sq.cache_clear()
+        with pytest.raises(BlockFailure, match=str(failing_start)):
+            _integrated_w1sq(2048, 128, 9)
+        assert failed == [failing_start == 512]  # in the caller, else in the thread
+        del calls[:]
+        assert np.array_equal(_integrated_w1sq(2048, 128, 9), expected)
+        assert sorted(calls) == list(range(0, 2048, 512))  # recomputed, all blocks
 
     def test_no_public_function_runs_off_the_main_thread(self, monkeypatch, started):
         # bench/tracer.py wraps every public function in a span and keeps one
@@ -505,7 +502,6 @@ class TestLaplaceWorkers:
             if event == "call" and threading.get_ident() != main:
                 off_main.add(frame.f_code)
 
-        _integrated_w1sq.cache_clear()
         threading.setprofile(profile)
         sys.setprofile(profile)
         try:
@@ -513,10 +509,91 @@ class TestLaplaceWorkers:
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
-            _integrated_w1sq.cache_clear()
         assert started, "the laplace suite ran on one thread"
         assert sampling._w1sq_blocks.__code__ in off_main
         assert not off_main & public, sorted(code.co_name for code in off_main & public)
+
+
+class TestSharedLaplacePathSet:
+    """One path set per call serves every theta; nothing is kept between calls.
+
+    3001 paths at grid 128 on 2 workers: the path set is made on a thread too.
+    """
+
+    @pytest.fixture
+    def path_sets(self, monkeypatch):
+        """The arguments of every path set made, on 2 workers."""
+        monkeypatch.setattr(sampling, "_WORKERS", 2)
+        made, real = [], sampling._integrated_w1sq
+
+        def spy(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sampling, "_integrated_w1sq", spy)
+        return made
+
+    @pytest.mark.parametrize(
+        "thetas", [(0.5, 1.0, 2.0), (2.0, 0.5, 1.0), (0.3, 2.5, 1.0, 0.3), (1.0, 1.0)]
+    )
+    def test_check_estimates_are_separate_calls(self, thetas, path_sets, started, monkeypatch):
+        got, real = [], verification.mc_quadratic_laplace_thetas
+
+        def record(*args):
+            got.extend(real(*args))
+            return got
+
+        monkeypatch.setattr(verification, "mc_quadratic_laplace_thetas", record)
+        report = verification.check_quadratic_laplace(thetas, n_paths=3001, grid_size=128, seed=9)
+        assert path_sets == [(3001, 128, 9)]
+        assert len(started) == 1
+        separate = [mc_quadratic_laplace(theta, 3001, 128, 9) for theta in thetas]
+        assert len(path_sets) == 1 + len(thetas)
+        assert got == separate
+        worst = max(
+            abs(est.mean - closed_form_quadratic_laplace(theta)) / (3.0 * est.std_error + 2.0 / 128)
+            for theta, est in zip(thetas, separate)
+        )
+        assert report["statistic"] == worst
+
+    def test_each_call_makes_its_own_path_set(self, monkeypatch, started):
+        monkeypatch.setattr(sampling, "_WORKERS", 2)
+        ranges, real = [], sampling._w1sq_blocks
+
+        def count(seed, h, start, stop, *buffers):
+            ranges.append((start, stop))
+            return real(seed, h, start, stop, *buffers)
+
+        monkeypatch.setattr(sampling, "_w1sq_blocks", count)
+        first = _integrated_w1sq(3001, 128, 9)
+        assert sorted(ranges) == [(0, 1500), (1500, 3001)]
+        second = _integrated_w1sq(3001, 128, 9)
+        assert sorted(ranges) == [(0, 1500), (0, 1500), (1500, 3001), (1500, 3001)]
+        assert len(started) == 2
+        assert first is not second and np.array_equal(first, second)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_theta_anywhere_raises_before_sampling(self, bad, position, path_sets):
+        thetas = [0.5, 1.0, 2.0]
+        thetas[position] = bad
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            mc_quadratic_laplace_thetas(thetas, 3001, 128, 9)
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            verification.check_quadratic_laplace(thetas, n_paths=3001, grid_size=128, seed=9)
+        assert path_sets == []
+
+    def test_empty_thetas_raise_before_sampling(self, path_sets, monkeypatch):
+        with pytest.raises(ValueError, match="at least one theta"):
+            mc_quadratic_laplace_thetas((), 3001, 128, 9)
+        with pytest.raises(ValueError, match="at least one theta"):
+            verification.check_quadratic_laplace((), n_paths=3001, grid_size=128, seed=9)
+        for name in verification.SUITES:  # run_suite checks before any suite runs
+            monkeypatch.setitem(verification.SUITES, name, None)
+        for suite in ("laplace", "all"):
+            with pytest.raises(ValueError, match="at least one theta"):
+                verification.run_suite(suite, n_paths=3001, grid_size=128, seed=9, thetas=())
+        assert path_sets == []
 
 
 class TestCovarianceRoot:
@@ -771,6 +848,11 @@ class TestVerificationSuites:
             n_paths=SMALL_PATHS, grid_size=256, seed=46
         )
         assert report["pass"], report
+
+    def test_x0_autocovariance_needs_a_lag(self, monkeypatch):
+        monkeypatch.setattr(verification, "sample_x_paths", None)  # must not be called
+        with pytest.raises(ValueError, match="at least one lag"):
+            verification.check_x0_autocovariance(taus=())
 
     def test_suite_runner_shape(self):
         results = verification.run_suite("symmetry", seed=3)
