@@ -46,7 +46,7 @@ EXIT_IO = 4
 OUT_DIR_ENV = "IBROWNIAN_OUT_DIR"
 
 # Characters per write of a long output; stdout may be unbuffered.
-_WRITE_CHARS = 1 << 20
+_WRITE_CHARS = 1 << 16
 
 _MATRIX_BUILDERS = {
     "gamma": exact.gamma_matrix,
@@ -60,11 +60,21 @@ _MATRIX_BUILDERS = {
 
 CORRELATE_GRID_POINTS = 81
 
-# Largest --n accepted, checked before any work; each finishes in about 10 s
-# on a 2-CPU host (matrices --which rho, the slowest family, at 360: 9.3 s;
-# correlate at 70: 9.5-10.3 s in CSV or JSON).
+# Largest sizes accepted, checked before any work or allocation.  Each cap
+# was set where a run took about 10 s on a 2-CPU host: matrices --which rho,
+# the slowest family, at --n 360: 9.3 s; correlate at 70: 9.5-10.3 s in CSV
+# or JSON.  The sample and verify caps are extrapolated from smaller runs:
+# sample costs 1.3-1.5 us per CSV value (time points x (n + 2) of them),
+# verify --suite all about 18 us per path plus 37 ns per Laplace path step,
+# so 6e6 values take 7-10 s and the worst run the verify caps admit about
+# 11 s.  The Laplace grid cap is memory: up to 2**17 steps one path fits the
+# kernel's block budget, beyond it a path holds 24 bytes per step.
 MAX_MATRICES_N = 360
 MAX_CORRELATE_N = 70
+MAX_SAMPLE_VALUES = 6_000_000
+MAX_VERIFY_PATHS = 300_000
+MAX_VERIFY_GRID = 1 << 17
+MAX_VERIFY_PATH_STEPS = 125_000_000
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -112,15 +122,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--times", type=_floats_csv, help="explicit strictly increasing times")
     p.add_argument("--t", type=float, help="largest time of a uniform grid (with --grid)")
-    p.add_argument("--grid", type=int, help="number of uniform grid points (with --t)")
+    p.add_argument("--grid", type=int, help="number of uniform grid points (with --t); "
+                   f"time points x (n + 2) at most {MAX_SAMPLE_VALUES}")
     p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
     p.add_argument("--out")
     p.set_defaults(run=_run_sample)
 
     p = sub.add_parser("verify", help="run the Monte Carlo verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + verification.SUITE_ORDER)
-    p.add_argument("--paths", type=int, default=verification.DEFAULT_PATHS)
-    p.add_argument("--grid", type=int, default=verification.DEFAULT_GRID)
+    p.add_argument("--paths", type=int, default=verification.DEFAULT_PATHS,
+                   help=f"at most {MAX_VERIFY_PATHS}")
+    p.add_argument("--grid", type=int, default=verification.DEFAULT_GRID,
+                   help=f"laplace suite grid, at most {MAX_VERIFY_GRID}, "
+                   f"with --paths x --grid at most {MAX_VERIFY_PATH_STEPS}")
     p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
     p.add_argument("--theta", type=float,
                    help="run the laplace suite at this single theta instead of 0.5, 1, 2")
@@ -176,13 +190,22 @@ def _error_line(code: int, message: str) -> None:
     sys.stderr.write(json.dumps({"error": message, "code": code}) + "\n")
 
 
+def _sample_csv(sample: PathSample) -> Iterator[str]:
+    """The lines of write_sample_csv, header first."""
+    yield "time," + ",".join(f"w{k}" for k in range(sample.order + 1)) + "\n"
+    # Rows joined with their times 1024 at a time, not the whole path in one
+    # copy, and formatted one at a time: a whole-array tolist() holds every
+    # value as a Python float at once.
+    for lo in range(0, len(sample.times), 1024):
+        hi = lo + 1024
+        rows = np.column_stack((sample.times[lo:hi], sample.states[lo:hi]))
+        for row in rows.astype(float, copy=False):
+            yield ",".join(map(repr, row.tolist())) + "\n"
+
+
 def write_sample_csv(sample: PathSample) -> str:
     """CSV text for a path: header time,w0,...,wn; shortest round-trip floats."""
-    header = "time," + ",".join(f"w{k}" for k in range(sample.order + 1))
-    data = np.column_stack((sample.times, sample.states)).astype(float, copy=False)
-    # One row at a time: a whole-array tolist() holds every value as a Python
-    # float at once, which raises the peak memory of a long path by about 10%.
-    return "\n".join([header] + [",".join(map(repr, row.tolist())) for row in data]) + "\n"
+    return "".join(_sample_csv(sample))
 
 
 def read_sample_csv(path: str, seed: int) -> PathSample:
@@ -209,15 +232,27 @@ def read_sample_csv(path: str, seed: int) -> PathSample:
     )
 
 
-def _check_cap(n: int, cap: int, subcommand: str) -> None:
+def _check_cap(n: int, cap: int, subcommand: str, flag: str = "--n") -> None:
     if n > cap:
-        raise ValueError(f"{subcommand} accepts --n up to {cap}, got {n}")
+        raise ValueError(f"{subcommand} accepts {flag} up to {cap}, got {n}")
+
+
+def _matrix_json(matrix: exact.Matrix) -> Iterator[str]:
+    """json.dumps(exact.matrix_to_json(matrix), indent=2), one row at a time.
+
+    Entry strings hold only digits, "-" and "/", which JSON does not escape,
+    so each row is quoted and indented by hand, with the bytes of the dump.
+    """
+    yield f'{{\n  "dim": {len(matrix) - 1},\n  "entries": ['
+    for i, row in enumerate(matrix):
+        cells = ",\n      ".join(['"' + s + '"' for s in exact._entry_strings(row)])
+        yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
+    yield "\n  ]\n}"
 
 
 def _run_matrices(ns: argparse.Namespace) -> int:
     _check_cap(ns.n, MAX_MATRICES_N, "matrices")
-    matrix = _MATRIX_BUILDERS[ns.which](ns.n)
-    _emit(json.dumps(exact.matrix_to_json(matrix), indent=2), ns.out)
+    _emit(_matrix_json(_MATRIX_BUILDERS[ns.which](ns.n)), ns.out)
     return EXIT_OK
 
 
@@ -331,19 +366,30 @@ def _run_correlate(ns: argparse.Namespace) -> int:
 
 def _run_sample(ns: argparse.Namespace) -> int:
     if ns.times is not None:
-        times = ns.times
+        points = len(ns.times)
     elif ns.t is not None and ns.grid is not None:
         if ns.grid < 1:
             raise ValueError("--grid must be at least 1")
-        times = tuple(ns.t * j / ns.grid for j in range(1, ns.grid + 1))
+        points = ns.grid
     else:
         raise ValueError("sample needs --times, or --t together with --grid")
+    _check_cap(points * (ns.n + 2), MAX_SAMPLE_VALUES, "sample", "time points x (--n + 2)")
+    times = ns.times
+    if times is None:
+        # The bits of (t * j) / grid for each j; a time that overflows to inf
+        # is rejected by the sampler's check that times are finite.
+        with np.errstate(over="ignore"):
+            times = ns.t * np.arange(1, ns.grid + 1, dtype=float) / ns.grid
     path = sample_w(ns.n, times, ns.seed)
-    _emit(write_sample_csv(path), ns.out)
+    _emit(_sample_csv(path), ns.out)
     return EXIT_OK
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
+    _check_cap(ns.paths, MAX_VERIFY_PATHS, "verify", "--paths")
+    if ns.suite in ("all", "laplace"):
+        _check_cap(ns.grid, MAX_VERIFY_GRID, "verify", "--grid")
+        _check_cap(ns.paths * ns.grid, MAX_VERIFY_PATH_STEPS, "verify", "--paths x --grid")
     results = verification.run_suite(
         ns.suite, seed=ns.seed, n_paths=ns.paths, grid_size=ns.grid,
         thetas=None if ns.theta is None else (ns.theta,),

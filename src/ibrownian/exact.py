@@ -260,10 +260,12 @@ def matrix_to_json(m: Matrix) -> dict:
     size = len(m)
     if size == 0 or any(len(row) != size for row in m):
         raise ValueError("expected a non-empty square matrix")
-    return {
-        "dim": size - 1,
-        "entries": [[str(v if type(v) is Fraction else Fraction(v)) for v in row] for row in m],
-    }
+    return {"dim": size - 1, "entries": [_entry_strings(row) for row in m]}
+
+
+def _entry_strings(row) -> list[str]:
+    """One matrix row as matrix_to_json writes it: decimal fraction strings."""
+    return [str(v if type(v) is Fraction else Fraction(v)) for v in row]
 
 
 def matrix_from_json(obj: dict) -> Matrix:

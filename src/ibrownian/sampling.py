@@ -377,7 +377,7 @@ def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: i
     return out
 
 
-def _states_from_normals(zs: np.ndarray, h: np.ndarray) -> None:
+def _states_from_normals(zs: np.ndarray, h: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """Turn the normals zs, shape (paths, steps, n+1), into exact states in place.
 
     Step j has length h[j], h[0] being the first time (the step from the
@@ -398,7 +398,10 @@ def _states_from_normals(zs: np.ndarray, h: np.ndarray) -> None:
     Every operation is elementwise across paths or a running sum along one
     path, so a path's bits do not depend on how paths are batched.  Memory
     is zs plus (paths, steps) temporaries (one for n <= 1, two beyond) and
-    (steps,) coefficient vectors.
+    (steps,) coefficient vectors.  A (paths, steps) float array scratch, if
+    given (not overlapping zs), holds the accumulator and the drift products
+    instead, so for n <= 1 no (paths, steps) array is allocated; the
+    products are the same, so are the bits.
     """
     n = zs.shape[2] - 1
     a_inv = _a_inverse_float(n)
@@ -411,15 +414,16 @@ def _states_from_normals(zs: np.ndarray, h: np.ndarray) -> None:
         e_m = zs[:, :, m]
         e_m *= coef[m]
         if m:
-            acc = coef[0] * zs[:, :, 0]
+            acc = np.multiply(coef[0], zs[:, :, 0], out=scratch)
             for k in range(1, m):
                 acc += coef[k] * zs[:, :, k]
             e_m += acc
     drift = {d: np.power(h[1:], d) / math.factorial(d) for d in range(1, n + 1)}
+    lagged = None if scratch is None else scratch[:, 1:]
     for m in range(n + 1):
         w_m = zs[:, :, m]
         for k in range(m):
-            w_m[:, 1:] += drift[m - k] * zs[:, :-1, k]
+            w_m[:, 1:] += np.multiply(drift[m - k], zs[:, :-1, k], out=lagged)
         np.cumsum(w_m, axis=1, out=w_m)
 
 
@@ -496,16 +500,18 @@ def closed_form_quadratic_laplace(theta: float) -> float:
 
 def _w1sq_blocks(seed: int, h: np.ndarray, start: int, stop: int, normals, squares, out) -> None:
     """One worker of _integrated_w1sq: out[i] for start <= i < stop, in blocks of
-    len(normals) paths that reuse the normals and squares buffers."""
+    len(normals) paths that reuse the normals and squares buffers; the kernel
+    uses the squares buffer as its scratch before the squares go there."""
     streams = _loaded_streams(_seed_words(seed), start, stop)
     for lo in range(start, stop, len(normals)):
         zs = normals[: stop - lo]
         # zs first: zip stops there without loading the next block's stream.
         for row, gen in zip(zs, streams):
             gen.standard_normal(out=row)
-        _states_from_normals(zs, h)
+        sq = squares[: len(zs)]
+        _states_from_normals(zs, h, sq)
         # Contiguous rows: one pairwise sum per path.
-        sq = np.square(zs[:, :, 1], out=squares[: len(zs)])
+        np.square(zs[:, :, 1], out=sq)
         out[lo : lo + len(zs)] = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * h[0]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ibrownian
-from ibrownian import cli, verification
+from ibrownian import cli, exact, verification
 from ibrownian.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -21,6 +21,10 @@ from ibrownian.cli import (
     EXIT_USAGE,
     MAX_CORRELATE_N,
     MAX_MATRICES_N,
+    MAX_SAMPLE_VALUES,
+    MAX_VERIFY_GRID,
+    MAX_VERIFY_PATH_STEPS,
+    MAX_VERIFY_PATHS,
     main,
     read_sample_csv,
     write_sample_csv,
@@ -84,9 +88,44 @@ class TestMatrices:
         assert code == EXIT_OK and out == ""
         assert json.loads(target.read_text())["entries"] == [["1", "0"], ["-1", "2"]]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    @pytest.mark.parametrize("write_chars", [1, 700, cli._WRITE_CHARS])
+    @pytest.mark.parametrize("which", sorted(cli._MATRIX_BUILDERS))
+    def test_streamed_json_is_the_whole_matrix_dump(
+        self, capsys, tmp_path, monkeypatch, which, write_chars, n
+    ):
+        # Rows are formatted and written in batches; the bytes are those of
+        # one json.dumps of matrix_to_json, on stdout and in a file.
+        monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
+        whole = json.dumps(exact.matrix_to_json(cli._MATRIX_BUILDERS[which](n)), indent=2) + "\n"
+        argv = ("matrices", "--n", str(n), "--which", which)
+        assert run_cli(capsys, *argv) == (EXIT_OK, whole, "")
+        target = tmp_path / "m.json"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == whole.encode("utf-8")
+
+    def test_json_is_written_row_by_row(self, capsys, tmp_path, monkeypatch):
+        # The matrix goes to _emit a row at a time: beyond the matrix itself,
+        # built before the trace, the peak is a row and a write batch.
+        matrix = exact.rho_matrix(100)
+        monkeypatch.setitem(cli._MATRIX_BUILDERS, "rho", lambda n: matrix)
+        target = tmp_path / "rho.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "matrices", "--n", "100", "--which", "rho", "--out", str(target)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_OK, "", "")
+        size = target.stat().st_size
+        assert exact.matrix_from_json(json.loads(target.read_text(encoding="utf-8"))) == matrix
+        assert peak < size / 4, (peak, size)
+
 
 def _must_not_be_called(*args):
-    raise AssertionError("work started for an --n over the cap")
+    raise AssertionError("work started for a size over its cap")
 
 
 class TestInputCaps:
@@ -120,8 +159,71 @@ class TestInputCaps:
         assert json.loads(line)["code"] == EXIT_DOMAIN
         assert str(MAX_CORRELATE_N) in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "2", "--t", "1", "--grid", str(MAX_SAMPLE_VALUES // 4 + 1)),
+        ("sample", "--n", "0", "--t", "1", "--grid", str(10**18)),
+        ("sample", "--n", "58", "--times", ",".join(["1"] * (MAX_SAMPLE_VALUES // 60 + 1))),
+    ])
+    def test_sample_over_cap_exits_before_any_array(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "sample_w", _must_not_be_called)
+        monkeypatch.setattr(cli.np, "arange", _must_not_be_called)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+        assert str(MAX_SAMPLE_VALUES) in json.loads(line)["error"]
+
+    def test_sample_at_cap_reaches_the_sampler(self, capsys, monkeypatch):
+        # Two times at the order that makes exactly the cap of CSV values.
+        class Reached(Exception):  # neither ValueError nor OSError: main lets it out
+            pass
+
+        reached = []
+
+        def stop(n, times, seed):
+            reached.append((n, len(times)))
+            raise Reached
+
+        monkeypatch.setattr(cli, "sample_w", stop)
+        n = MAX_SAMPLE_VALUES // 2 - 2
+        with pytest.raises(Reached):
+            main(["sample", "--n", str(n), "--times", "1,2"])
+        assert reached == [(n, 2)]
+
+    @pytest.mark.parametrize("argv", [
+        ("--paths", str(MAX_VERIFY_PATHS + 1)),
+        ("--suite", "w-covariance", "--paths", str(MAX_VERIFY_PATHS + 1)),
+        ("--paths", "2", "--grid", str(MAX_VERIFY_GRID + 1)),
+        ("--suite", "laplace", "--paths", "2", "--grid", str(10**18)),
+        ("--grid", str(MAX_VERIFY_PATH_STEPS // verification.DEFAULT_PATHS + 1)),
+        ("--suite", "laplace", "--paths", str(MAX_VERIFY_PATH_STEPS // 1000 + 1),
+         "--grid", "1000"),
+    ])
+    def test_verify_over_cap_exits_before_any_suite(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(verification, "run_suite", _must_not_be_called)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("argv", [
+        (),  # the defaults: 100 000 paths on grid 1024
+        ("--paths", "10000", "--seed", "7"),  # the bench size
+        ("--paths", str(MAX_VERIFY_PATHS), "--grid", str(MAX_VERIFY_PATH_STEPS // MAX_VERIFY_PATHS)),
+        ("--paths", "2", "--grid", str(MAX_VERIFY_GRID)),
+        ("--suite", "symmetry", "--paths", str(MAX_VERIFY_PATHS), "--grid", str(10**18)),
+    ])
+    def test_verify_within_caps_is_accepted(self, capsys, monkeypatch, argv):
+        # The grid is capped only where the laplace suite runs.
+        calls = []
+        monkeypatch.setattr(verification, "run_suite", lambda *a, **kw: calls.append(kw) or [])
+        code, _, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_OK and err == "" and len(calls) == 1
+
     @pytest.mark.parametrize("subcommand,cap", [
         ("matrices", MAX_MATRICES_N), ("correlate", MAX_CORRELATE_N),
+        ("sample", MAX_SAMPLE_VALUES), ("verify", MAX_VERIFY_PATHS),
+        ("verify", MAX_VERIFY_GRID), ("verify", MAX_VERIFY_PATH_STEPS),
     ])
     def test_cap_is_in_help(self, capsys, subcommand, cap):
         assert main([subcommand, "--help"]) == EXIT_OK
@@ -353,6 +455,55 @@ class TestSample:
         assert text == sample_csv_per_value(special)
         assert text.split("\n")[1] == "1.0,-0.0,9007199254740994.0,0.0"
         assert "5e-324" in text and "1e-300" in text and "1e+308" in text
+
+    def test_uniform_grid_is_the_per_point_formula(self, capsys, monkeypatch):
+        # The grid is one float64 array, with the bits of (t * j) / grid.
+        rng = np.random.default_rng(8)
+        seen = []
+        monkeypatch.setattr(
+            cli, "sample_w", lambda n, times, seed: seen.append(times) or sample_w(n, (1.0,), seed)
+        )
+        for _ in range(300):
+            t = float(rng.uniform(0.5, 10.0) * 10.0 ** rng.integers(-300, 300))
+            grid = int(rng.integers(1, 3000))
+            assert run_cli(capsys, "sample", "--n", "0", "--t", repr(t), "--grid", str(grid))[0] == 0
+            expected = [t * j / grid for j in range(1, grid + 1)]
+            assert seen.pop().tolist() == expected, (t, grid)
+
+    def test_overflowing_grid_is_domain_error_without_warning(self, capsys):
+        # t * grid overflows to inf, with numpy's overflow warning (an error
+        # under this suite's filterwarnings) suppressed; the sampler rejects it.
+        code, out, err = run_cli(capsys, "sample", "--n", "2", "--t", "1e308", "--grid", "10")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "times must be finite", "code": EXIT_DOMAIN}
+
+    @pytest.mark.parametrize("write_chars", [1, 700, cli._WRITE_CHARS])
+    def test_streamed_csv_is_write_sample_csv(self, capsys, tmp_path, monkeypatch, write_chars):
+        # Rows are formatted and written in batches, with the bytes of
+        # write_sample_csv, on stdout and in a file; 2500 rows span blocks of
+        # 1024 rows.
+        monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
+        whole = write_sample_csv(sample_w(3, 10.0 * np.arange(1, 2501) / 2500, 5))
+        argv = ("sample", "--n", "3", "--t", "10", "--grid", "2500", "--seed", "5")
+        assert run_cli(capsys, *argv) == (EXIT_OK, whole, "")
+        target = tmp_path / "s.csv"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == whole.encode("utf-8")
+
+    def test_csv_is_written_a_block_of_rows_at_a_time(self, tmp_path):
+        # Formatting holds a block of rows and a write batch, never the text.
+        path = sample_w(2, np.arange(1, 20_001) / 2000.0, 1)
+        target = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._sample_csv(path), str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert target.read_text(encoding="utf-8") == write_sample_csv(path)
+        assert peak < size / 4, (peak, size)
 
     @pytest.mark.parametrize("write_chars", [1, 100])
     def test_batched_write_keeps_the_final_newline(self, capsys, monkeypatch, write_chars):

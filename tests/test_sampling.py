@@ -305,6 +305,22 @@ class TestStepKernel:
         monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", 3 * grid * 16)
         assert np.array_equal(_integrated_w1sq(3, grid, 9), one_per_block)
 
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    @pytest.mark.parametrize("n", range(6))
+    def test_kernel_scratch_keeps_the_bits(self, n, steps):
+        # Irregular steps over six orders of magnitude; the scratch is a view
+        # of the first rows of a larger buffer, as for a worker's last block.
+        rng = np.random.default_rng(100 * n + steps)
+        h = rng.uniform(0.5, 2.0, steps) * 10.0 ** rng.integers(-4, 3, steps)
+        zs = rng.standard_normal((7, steps, n + 1))
+        plain = zs.copy()
+        sampling._states_from_normals(plain, h)
+        buffer = np.full((11, steps), np.nan)
+        for paths in (7, 3):
+            got = zs[:paths].copy()
+            sampling._states_from_normals(got, h, buffer[:paths])
+            assert np.array_equal(got, plain[:paths]), paths
+
     def test_laplace_memory_is_bounded_by_the_block_budget(self):
         _integrated_w1sq(2, 128, 9)  # first-call set-up outside the trace
         tracemalloc.start()
@@ -462,6 +478,21 @@ class TestLaplaceWorkers:
         assert len(started) == 2
         assert peak < 3 * sampling._LAPLACE_BLOCK_BYTES
 
+    def test_workers_use_their_squares_buffer_as_kernel_scratch(self, monkeypatch, started):
+        # 2 workers hold 2 MiB of normals and 1 MiB of squares; a worker that
+        # allocated the kernel's two (paths, steps) temporaries per block
+        # would add 1 MiB each (5.96 MB in all before the scratch).
+        monkeypatch.setattr(sampling, "_WORKERS", 2)
+        _integrated_w1sq(100, 1024, 7)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            _integrated_w1sq(10_000, 1024, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(started) == 1
+        assert peak < 4.5e6, peak
+
     # 2 workers at grid 128 take paths [0, 1024) and [1024, 2048) in blocks
     # of 512: the block at 512 is worker 0's (the caller's) second, the block
     # at 1024 worker 1's (a thread's) first.  The kernel, called once per
@@ -474,13 +505,13 @@ class TestLaplaceWorkers:
         path_of = {z: i for i, z in enumerate(_path_normals(9, 0, 2048, 1, 1)[:, 0, 0].tolist())}
         real, calls, failed = sampling._states_from_normals, [], []
 
-        def fail_once(zs, h):
+        def fail_once(zs, *args):
             start = path_of[float(zs[0, 0, 0])]
             calls.append(start)
             if start == failing_start and not failed:
                 failed.append(threading.current_thread() is threading.main_thread())
                 raise BlockFailure(start)
-            return real(zs, h)
+            return real(zs, *args)
 
         monkeypatch.setattr(sampling, "_states_from_normals", fail_once)
         with pytest.raises(BlockFailure, match=str(failing_start)):
