@@ -61,9 +61,10 @@ _MATRIX_BUILDERS = {
 CORRELATE_GRID_POINTS = 81
 
 # Largest sizes accepted, checked before any work or allocation.  Each cap
-# was set where a run took about 10 s on a 2-CPU host: matrices --which rho,
-# the slowest family, at --n 360: 9.3 s; correlate at 70: 9.5-10.3 s in CSV
-# or JSON.  The sample and verify caps are extrapolated from smaller runs:
+# was set where a run took about 10 s on a 2-CPU host: matrices at --n 360
+# (then rho, 9.3 s; now a-inverse, the slowest family, 1.6-2.0 s, and rho
+# 0.65-0.97 s); correlate at 70: 9.5-10.3 s in CSV or JSON.  The sample and
+# verify caps are extrapolated from smaller runs:
 # sample costs 1.3-1.5 us per CSV value (time points x (n + 2) of them),
 # verify --suite all about 18 us per path plus 37 ns per Laplace path step,
 # so 6e6 values take 7-10 s and the worst run the verify caps admit about
@@ -245,8 +246,8 @@ def _matrix_json(matrix: exact.Matrix) -> Iterator[str]:
     """
     yield f'{{\n  "dim": {len(matrix) - 1},\n  "entries": ['
     for i, row in enumerate(matrix):
-        cells = ",\n      ".join(['"' + s + '"' for s in exact._entry_strings(row)])
-        yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
+        cells = '",\n      "'.join(exact._entry_strings(row))
+        yield ("," if i else "") + '\n    [\n      "' + cells + '"\n    ]'
     yield "\n  ]\n}"
 
 

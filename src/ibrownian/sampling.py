@@ -87,6 +87,9 @@ else:
     _WORKERS = min(8, os.cpu_count() or 1)
 # exp() overflows past this; sample_x raises exp(t) to the power k + 1/2.
 _MAX_LOG_TIME = 700.0
+# The kernel divides by d! as a float for d up to the order; 171! is beyond
+# the float range.
+_MAX_ORDER = 170
 
 
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
@@ -433,16 +436,29 @@ def sample_w_paths(
     """Exact joint paths of the order-n state, shape (n_paths, len(times), n+1).
 
     Path i uses substream first_path + i of the master seed, so a large run
-    can be produced in independent chunks that concatenate exactly.
+    can be produced in independent chunks that concatenate exactly.  Orders
+    above 170 raise ValueError, and so does a state beyond the float range
+    (times so long that a component overflows), instead of returning inf
+    or nan.
     """
     n = _check_nonnegative(n)
+    if n > _MAX_ORDER:
+        raise ValueError(
+            f"order must be at most {_MAX_ORDER}, got {n}: {n}! is beyond the float range"
+        )
     if n_paths < 1:
         raise ValueError("need at least one path")
     tgrid = np.asarray(times, dtype=float)
     _validate_times(tgrid, positive=True)
 
     states = _path_normals(seed, first_path, n_paths, tgrid.size, n + 1)
-    _states_from_normals(states, np.diff(tgrid, prepend=0.0))
+    # Overflow gives inf, and inf - inf nan; both are caught below, so warn of
+    # neither.  min and max carry any nan or inf without an array of flags.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _states_from_normals(states, np.diff(tgrid, prepend=0.0))
+        finite = np.isfinite(states.min()) and np.isfinite(states.max())
+    if not finite:
+        raise ValueError("a sampled state is beyond the float range at this order and these times")
     return states
 
 

@@ -269,21 +269,31 @@ def _closed_form_terms(j: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     which are exactly the left-half-plane residues of H_j conj(H_k), rates
     ascending; _left_residue_terms computes the same pairs the long way.
     """
-    return tuple(
-        (Fraction((-1) ** a, math.factorial(j - a) * math.factorial(a + k + 1)), half_integer(a))
-        for a in range(j + 1)
-    )
+    return tuple(zip(_closed_form_coeffs(j, k), map(half_integer, range(j + 1))))
+
+
+def _closed_form_coeffs(j: int, k: int) -> list[Fraction]:
+    """The coefficients of _closed_form_terms(j, k) alone, without their rates."""
+    f = math.factorial
+    return [Fraction((-1) ** a, f(j - a) * f(a + k + 1)) for a in range(j + 1)]
 
 
 def _correlation_rows(n: int, taus):
     """Per tau, [cross_correlation(j, k).at(tau) for j, k in 0..n], bit for bit, from
-    one decay row e^{-(a + 1/2)|tau|}, a = 0..n, per tau (_exp_sum stops at a pair's last term)."""
-    pairs = [(j, k) for j in range(n + 1) for k in range(n + 1)]
-    floats = {pair: [float(c) for c, _ in _closed_form_terms(*pair)] for pair in pairs}
-    rates = [float(half_integer(a)) for a in range(n + 1)]
+    one decay row e^{-(a + 1/2)|tau|}, a = 0..n, per tau (_exp_sum stops at a pair's last term).
+
+    The float coefficients of every pair are listed once per side, in pair
+    order: the tau >= 0 side of (j, k) is its own closed form, the tau < 0
+    side that of (k, j).
+    """
+    size = n + 1
+    pos_side = [list(map(float, _closed_form_coeffs(j, k)))
+                for j in range(size) for k in range(size)]
+    neg_side = [pos_side[k * size + j] for j in range(size) for k in range(size)]
+    rates = [float(half_integer(a)) for a in range(size)]
     for tau in taus:
         decays = [math.exp(-r * abs(tau)) for r in rates]
-        yield [_exp_sum(floats[j, k] if tau >= 0 else floats[k, j], decays) for j, k in pairs]
+        yield [_exp_sum(coeffs, decays) for coeffs in (pos_side if tau >= 0 else neg_side)]
 
 
 def cross_correlation(j: int, k: int) -> CorrelationExpansion:

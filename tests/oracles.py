@@ -8,7 +8,9 @@ from.  The samplers' cumulative-sum kernel is checked against the plain
 step-by-step recursion.  The integer fast paths of the exact layer (rho_matrix,
 mat_mul), the float conversion in CorrelationExpansion and the sample CSV
 writer are checked against the plain Fraction and per-value code they
-replaced, and rho_matrix's product form against the binomial sum it replaced.
+replaced.  rho_matrix's Cauchy form is checked against every form it
+replaced: the Fraction sum, Choi's binomial sum and Choi's product of
+binomials.
 """
 
 import math
@@ -211,6 +213,23 @@ def rho_matrix_binomial_sum(dim):
         for k in range(j, size):
             acc = sum(map(operator.mul, u[j][k:], w[k][k:]))
             out[j][k] = out[k][j] = Fraction(-acc if (j + k) % 2 else acc)
+    return out
+
+
+def rho_matrix_product_form(dim):
+    """Inverse of the Hilbert-type matrix 1/(j+k+1) by Choi's product of binomials,
+
+        (-1)^(j+k) (j+k+1) C(N+j+1, N-k) C(N+k+1, N-j) C(j+k, j)^2,   N = dim,
+
+    in integers over the upper triangle, mirrored, one Fraction per entry.
+    """
+    comb = math.comb
+    out = [[Fraction(0)] * (dim + 1) for _ in range(dim + 1)]
+    for j in range(dim + 1):
+        for k in range(j, dim + 1):
+            v = (j + k + 1) * comb(j + k, j) ** 2
+            v *= comb(dim + j + 1, dim - k) * comb(dim + k + 1, dim - j)
+            out[j][k] = out[k][j] = Fraction(-v if (j + k) % 2 else v)
     return out
 
 

@@ -8,9 +8,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ibrownian
 from ibrownian import cli, exact, verification
@@ -518,6 +521,24 @@ class TestSample:
         _, out2, _ = run_cli(capsys, *args)
         assert out1.encode() == out2.encode()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "171", "--times", "1"), "order must be at most 170"),
+        (("--n", "3", "--times", "1e300,1e301"), "beyond the float range"),
+    ])
+    def test_input_beyond_the_float_range_is_domain_error(self, capsys, argv, message):
+        # A numpy warning would be an error here (filterwarnings in pyproject.toml).
+        code, out, err = run_cli(capsys, "sample", *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
+        assert message in json.loads(line)["error"]
+
+    def test_largest_order_prints_finite_values(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "170", "--times", "1,2")
+        assert (code, err) == (EXIT_OK, "")
+        values = [float(v) for line in out.splitlines()[1:] for v in line.split(",")]
+        assert len(values) == 2 * (1 + 171) and all(map(math.isfinite, values))
+
     def test_missing_grid_spec_is_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "--n", "1")
         assert code == EXIT_DOMAIN
@@ -537,6 +558,36 @@ class TestSample:
         bad.write_text("time,w0,w9\n1.0,2.0,3.0\n")
         with pytest.raises(ValueError):
             read_sample_csv(str(bad), seed=0)
+
+
+_SAMPLE_SPANS = st.floats(min_value=1e-300, max_value=1e300)
+_SAMPLE_TIME_FLAGS = st.one_of(
+    st.lists(_SAMPLE_SPANS, min_size=1, max_size=6, unique=True).map(
+        lambda times: ("--times", ",".join(map(repr, sorted(times))))),
+    st.tuples(_SAMPLE_SPANS, st.integers(min_value=1, max_value=40)).map(
+        lambda spec: ("--t", repr(spec[0]), "--grid", str(spec[1]))),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(min_value=0, max_value=200), time_flags=_SAMPLE_TIME_FLAGS)
+def test_sample_flags_give_finite_values_or_one_error_line(capsys, n, time_flags):
+    # Orders past the float factorials and times whose states overflow are
+    # both drawn: every run prints finite values, or exits 3 with one JSON
+    # line, and never warns.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "sample", "--n", str(n), *time_flags)
+    assert [str(w.message) for w in caught] == []
+    if code == EXIT_OK:
+        assert err == ""
+        rows = out.splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    else:
+        assert (code, out) == (EXIT_DOMAIN, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
 
 
 # sha256 of stdout, pinned when the exact layer moved from Fraction sums to

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibrownian.exact as ex
-from ibrownian import densities, sampling, spectral
+from ibrownian import cli, densities, sampling, spectral
 from oracles import (
     exact_inverse,
     mat_mul_fraction_loop,
     rho_matrix_binomial_sum,
     rho_matrix_fraction_sum,
+    rho_matrix_product_form,
 )
 
 F = Fraction
@@ -197,6 +198,12 @@ class TestRho:
         assert rho == rho_matrix_binomial_sum(dim)
         assert all(type(v) is Fraction for row in rho for v in row)
 
+    @pytest.mark.parametrize("dim", [*range(0, 61), 200])
+    def test_cauchy_form_matches_product_of_binomials(self, dim):
+        rho = ex.rho_matrix(dim)
+        assert rho == rho_matrix_product_form(dim)
+        assert all(type(v) is Fraction for row in rho for v in row)
+
 
 def random_rational_matrix(rng, rows, cols, zero_share=0.3):
     return [
@@ -345,6 +352,21 @@ class TestValidationAndJson:
         m = [[7, F(-3, 4)], [Labelled(6, 4), 0.5]]
         assert ex.matrix_to_json(m)["entries"] == [["7", "-3/4"], ["3/2", "1/2"]]
         assert ex.matrix_to_json([[F(-36)]])["entries"] == [["-36"]]
+
+    @pytest.mark.parametrize("which", sorted(cli._MATRIX_BUILDERS))
+    def test_entry_strings_are_fraction_strings_for_every_family(self, which):
+        for row in cli._MATRIX_BUILDERS[which](9):
+            assert ex._entry_strings(row) == [str(Fraction(v)) for v in row]
+
+    @pytest.mark.parametrize("row", [
+        [0, 1, -1, 7, -36],
+        [F(0), F(-0), F(5), F(-5)],
+        [F(-(10**400) - 1), F(10**400 + 7), -(10**300), 10**300],
+        [F(1, 2), F(-3, 4), F(10**50, 3), F(-7, 10**40)],
+        [F(4, 2), F(-9, 3), np.int64(-12), True, 0.5],
+    ])
+    def test_entry_strings_are_fraction_strings(self, row):
+        assert ex._entry_strings(row) == [str(Fraction(v)) for v in row]
 
     def test_json_shape_validation(self):
         with pytest.raises(ValueError):

@@ -701,6 +701,32 @@ class TestSampleW:
             products = resid[:, rows] * resid[:, cols]
             assert max_z(products, target) <= 3.0
 
+    def test_order_above_170_raises_before_any_stream(self, monkeypatch):
+        # 171! does not convert to a float, which the kernel's drift needs.
+        def no_streams(*args):
+            raise AssertionError("streams seeded for an order that is rejected")
+
+        monkeypatch.setattr(sampling, "_path_normals", no_streams)
+        for n in (171, 200):
+            with pytest.raises(ValueError, match="at most 170"):
+                sample_w_paths(n, (1.0,), 1, 0)
+            with pytest.raises(ValueError, match="at most 170"):
+                sample_x(n, (0.0,), 0)
+
+    @pytest.mark.parametrize("n, times", [(3, (1e300, 1e301)), (1, (1e300,)), (170, (1e3,))])
+    def test_states_beyond_the_float_range_raise_without_warning(self, n, times):
+        # A warning would be an error here (filterwarnings in pyproject.toml).
+        with pytest.raises(ValueError, match="beyond the float range"):
+            sample_w_paths(n, times, 2, 0)
+
+    @pytest.mark.parametrize("n, times", [(0, (1e-300, 1e300)), (2, (0.5, 3.0)), (170, (1.0, 2.0))])
+    def test_finite_states_keep_the_kernel_bits(self, n, times):
+        states = sample_w_paths(n, times, 3, 5)
+        direct = _path_normals(5, 0, 3, len(times), n + 1)
+        sampling._states_from_normals(direct, np.diff(np.asarray(times), prepend=0.0))
+        assert np.isfinite(states).all()
+        assert states.tobytes() == direct.tobytes()
+
 
 class TestSampleX:
     def test_determinism_and_scaling(self):
