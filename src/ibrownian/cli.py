@@ -209,30 +209,6 @@ def write_sample_csv(sample: PathSample) -> str:
     return "".join(_sample_csv(sample))
 
 
-def read_sample_csv(path: str, seed: int) -> PathSample:
-    """Parse a sample CSV back into a PathSample.
-
-    The CSV stores data, not provenance, so the generating seed is supplied
-    by the caller; with the right seed the result equals the generating
-    PathSample exactly (floats round-trip).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty sample file")
-    header = lines[0].split(",")
-    order = len(header) - 2
-    if order < 0 or header != ["time"] + [f"w{k}" for k in range(order + 1)]:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    if any(len(row) != order + 2 for row in rows):
-        raise ValueError(f"{path}: ragged rows")
-    data = np.array(rows, dtype=float).reshape(len(rows), order + 2)
-    return PathSample(
-        order=order, times=data[:, 0].copy(), states=data[:, 1:].copy(), seed=seed
-    )
-
-
 def _check_cap(n: int, cap: int, subcommand: str, flag: str = "--n") -> None:
     if n > cap:
         raise ValueError(f"{subcommand} accepts {flag} up to {cap}, got {n}")

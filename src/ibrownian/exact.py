@@ -47,7 +47,8 @@ def _fact(n: int) -> int:
 def _check_nonnegative(value, noun: str = "order") -> int:
     """Validate and canonicalize an order or dimension to a plain int (numpy ints welcome).
 
-    The one validator of the package; `noun` names the quantity in the error.
+    Used for every order and dimension; times, states and seeds have their own
+    validators.  `noun` names the quantity in the error.
     """
     try:
         value = operator.index(value)

@@ -36,12 +36,12 @@ how the paths are batched: chunk sizes and first_path splits concatenate to
 the same array.
 
 The samplers do not build that generator once per path.  They compute the
-seeded PCG64 (state, inc) of a whole block of paths with numpy, replaying
-SeedSequence's hash mixing (NEP 19) and PCG64's seeding (O'Neill 2014) in
-32-bit limbs, and copy each path's 32 bytes into the C state of one reused
-PCG64, found through BitGenerator.ctypes; a probe checks that state's
-layout once per process.  path_generator builds the stream the direct way
-and is the bit-level reference the tests compare with.
+seeded PCG64 (state, inc) of a whole block of paths at once, replaying
+SeedSequence's hash mixing (NEP 19) on uint32 arrays and PCG64's seeding
+(O'Neill 2014) as one exact integer product, and copy each path's 32 bytes
+into the C state of one reused PCG64, found through BitGenerator.ctypes; a
+probe checks that state's layout once per process.  path_generator builds
+the stream directly; it is the bit-level reference the tests compare with.
 
 The Laplace path set (_integrated_w1sq) is made once per call of
 mc_quadratic_laplace_thetas, which evaluates every theta it is given on
@@ -181,7 +181,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG64_MULT_LIMBS = [(_PCG64_MULT >> shift) & _M32 for shift in range(0, 128, 32)]
 _SEED_BLOCK = 1024
 
 
@@ -237,51 +236,27 @@ def _generate_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return [hashmix(pool[k % 4], _MULT_B) for k in range(8)]
 
 
-def _pcg64_srandom(init: list[np.ndarray], seq: list[np.ndarray]) -> np.ndarray:
+def _pcg64_srandom(init: tuple, seq: tuple) -> np.ndarray:
     """PCG64's srandom for a block of paths: inc = 2 seq + 1 and
     state = (inc + init) MULT + inc, mod 2**128.
 
-    init and seq are 128-bit numbers as 4 limbs of 32 bits, least
-    significant first, each limb a uint64 array of one value per path; both
-    are overwritten, as the arithmetic runs in place.  Returns a (paths, 4)
-    uint64 array: state low, state high, inc low, inc high.
+    init and seq are 128-bit numbers as (low, high) pairs of uint64 arrays,
+    one value per path.  Path i's init and inc sit in 256-bit lane i of one
+    Python int each, so one exact product serves the whole block.  No lane
+    carries into the next: inc + init < 2**129 and MULT < 2**126, so a lane's
+    result is below 2**256; its low 128 bits are the state.  Lanes go through
+    little-endian words ('<u8'), whatever the host's byte order.  Returns a
+    (paths, 4) uint64 array: state low, state high, inc low, inc high.
     """
-    inc, base = seq, init
-    for k in range(3, -1, -1):  # from the top, so limb k - 1 is still seq's
-        inc[k] <<= 1
-        inc[k] |= inc[k - 1] >> 31 if k else 1
-        inc[k] &= _M32
-    _add_carry(base, inc)
-    # base * MULT mod 2**128 from the top limb down: a limb product's low half
-    # goes to its own column, its high half to the next (a column sums at most
-    # 7 halves), and once limb i's products are in, limb i holds column i.
-    prod = np.empty_like(base[0])
-    for i in range(3, -1, -1):
-        for j in range(3 - i, 0, -1):
-            np.multiply(base[i], _PCG64_MULT_LIMBS[j], out=prod)
-            base[i + j] += prod & _M32
-            if i + j < 3:
-                base[i + j + 1] += prod >> 32
-        base[i] *= _PCG64_MULT_LIMBS[0]
-        if i < 3:
-            base[i + 1] += base[i] >> 32
-        base[i] &= _M32
-    _add_carry(base, inc)
-    limbs = base + inc
-    for lo, hi in zip(limbs[::2], limbs[1::2]):
-        hi <<= 32
-        hi |= lo
-    return np.stack(limbs[1::2], axis=1)
-
-
-def _add_carry(limbs: list, addend: list) -> None:
-    """limbs += addend, carried in place into 32-bit limbs mod 2**128; no limb reaches 2**36."""
-    for k, limb in enumerate(addend):
-        limbs[k] += limb
-        if k:
-            limbs[k] += limbs[k - 1] >> 32
-            limbs[k - 1] &= _M32
-    limbs[3] &= _M32
+    inc = (seq[0] << 1 | 1, seq[1] << 1 | seq[0] >> 63)
+    lanes = np.zeros((len(inc[0]), 4), dtype="<u8")
+    lanes[:, 0], lanes[:, 1] = init
+    base = int.from_bytes(lanes.tobytes(), "little")
+    lanes[:, 0], lanes[:, 1] = inc
+    inc_lanes = int.from_bytes(lanes.tobytes(), "little")
+    state = ((base + inc_lanes) * _PCG64_MULT + inc_lanes).to_bytes(lanes.nbytes, "little")
+    state = np.frombuffer(state, dtype="<u8").reshape(-1, 4)
+    return np.column_stack((state[:, 0], state[:, 1], *inc)).astype(np.uint64, copy=False)
 
 
 def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
@@ -302,7 +277,8 @@ def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
         # generate_state(4, uint64) pairs the uint32 words little-endian; PCG64
         # reads the pairs as (high, low) of its initial state and of its
         # stream selector.
-        yield _pcg64_srandom([w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]])
+        u = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+        yield _pcg64_srandom((u[1], u[0]), (u[3], u[2]))
         start = end
 
 

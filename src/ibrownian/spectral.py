@@ -269,13 +269,21 @@ def _closed_form_terms(j: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     which are exactly the left-half-plane residues of H_j conj(H_k), rates
     ascending; _left_residue_terms computes the same pairs the long way.
     """
-    return tuple(zip(_closed_form_coeffs(j, k), map(half_integer, range(j + 1))))
+    coeffs = (Fraction(sign, d) for sign, d in _closed_form_coeffs(j, k))
+    return tuple(zip(coeffs, map(half_integer, range(j + 1))))
 
 
-def _closed_form_coeffs(j: int, k: int) -> list[Fraction]:
-    """The coefficients of _closed_form_terms(j, k) alone, without their rates."""
+def _closed_form_coeffs(j: int, k: int) -> list[tuple[int, int]]:
+    """The coefficients of _closed_form_terms(j, k) alone, without their rates,
+    as (sign, denominator) pairs: (-1)^a and (j - a)! (a + k + 1)!."""
     f = math.factorial
-    return [Fraction((-1) ** a, f(j - a) * f(a + k + 1)) for a in range(j + 1)]
+    return [((-1) ** a, f(j - a) * f(a + k + 1)) for a in range(j + 1)]
+
+
+def _float_coeffs(j: int, k: int) -> list[float]:
+    """float() of each coefficient of _closed_form_terms(j, k), bit for bit: +-1 / d
+    is int/int true division, correctly rounded as float(Fraction) is."""
+    return [sign / d for sign, d in _closed_form_coeffs(j, k)]
 
 
 def _correlation_rows(n: int, taus):
@@ -287,8 +295,7 @@ def _correlation_rows(n: int, taus):
     side that of (k, j).
     """
     size = n + 1
-    pos_side = [list(map(float, _closed_form_coeffs(j, k)))
-                for j in range(size) for k in range(size)]
+    pos_side = [_float_coeffs(j, k) for j in range(size) for k in range(size)]
     neg_side = [pos_side[k * size + j] for j in range(size) for k in range(size)]
     rates = [float(half_integer(a)) for a in range(size)]
     for tau in taus:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from ibrownian import exact
 from ibrownian.densities import (
@@ -319,12 +320,12 @@ class TestDensityW:
         axes = [np.linspace(-8 * s, 8 * s, 201) for s in sigmas]
         if n == 0:
             values = np.array([density_w([w], t) for w in axes[0]])
-            total = np.trapezoid(values, axes[0])
+            total = trapezoid(values, axes[0])
         else:
             values = np.array(
                 [[density_w([w0, w1], t) for w1 in axes[1]] for w0 in axes[0]]
             )
-            total = np.trapezoid(np.trapezoid(values, axes[1], axis=1), axes[0])
+            total = trapezoid(trapezoid(values, axes[1], axis=1), axes[0])
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_rejects_bad_time(self):

@@ -143,17 +143,33 @@ def srandom_reference(init, seq):
     return [state & M64, state >> 64, inc & M64, inc >> 64]
 
 
-def as_limbs(values):
-    """128-bit ints as 4 uint64 arrays of 32-bit limbs, least significant first."""
-    return [np.array([(v >> s) & M32 for v in values], dtype=np.uint64) for s in range(0, 128, 32)]
+def carry_chain_inputs():
+    """(inits, seqs) at the carry-chain edges of srandom's 128-bit arithmetic."""
+    inv = pow(PCG64_MULT, -1, 2**128)
+    edges = [0, 1, M32, 2**32, M64, 2**64, 2**96 - 1, 2**127, M128, PCG64_MULT, inv]
+    inits = [a for a in edges for _ in edges]
+    seqs = [b for _ in edges for b in edges]
+    # inc + init at 0, at all ones and at MULT's inverse (state = 1 + inc).
+    for seq in edges:
+        inc = (seq << 1 | 1) & M128
+        for base in (0, M128, inv, PCG64_MULT):
+            inits.append((base - inc) & M128)
+            seqs.append(seq)
+    return inits, seqs
 
 
 class TestStreamLoading:
-    """PCG64 seeding in 32-bit limbs and the write into the C struct."""
+    """PCG64 seeding in one Python integer per block and the write into the C struct."""
+
+    def srandom(self, inits, seqs):
+        halves = [[np.array([v >> s & M64 for v in side], dtype=np.uint64) for s in (0, 64)]
+                  for side in (inits, seqs)]
+        got = sampling._pcg64_srandom(*halves)
+        assert got.dtype == np.uint64 and got.shape == (len(inits), 4)
+        return got
 
     def check_srandom(self, inits, seqs):
-        got = sampling._pcg64_srandom(as_limbs(inits), as_limbs(seqs))
-        assert got.dtype == np.uint64 and got.shape == (len(inits), 4)
+        got = self.srandom(inits, seqs)
         assert got.tolist() == [srandom_reference(i, q) for i, q in zip(inits, seqs)]
 
     def test_srandom_random_inputs(self):
@@ -165,17 +181,16 @@ class TestStreamLoading:
         self.check_srandom(inits, seqs)
 
     def test_srandom_carry_chains(self):
-        inv = pow(PCG64_MULT, -1, 2**128)
-        edges = [0, 1, M32, 2**32, M64, 2**64, 2**96 - 1, 2**127, M128, PCG64_MULT, inv]
-        inits = [a for a in edges for _ in edges]
-        seqs = [b for _ in edges for b in edges]
-        # inc + init at 0, at all ones and at MULT's inverse (state = 1 + inc).
-        for seq in edges:
-            inc = (seq << 1 | 1) & M128
-            for base in (0, M128, inv, PCG64_MULT):
-                inits.append((base - inc) & M128)
-                seqs.append(seq)
-        self.check_srandom(inits, seqs)
+        self.check_srandom(*carry_chain_inputs())
+
+    def test_srandom_lanes_do_not_carry_into_each_other(self):
+        # Each path's 256-bit lane of the block product equals that path
+        # seeded alone, at every carry-chain edge and in either neighbour.
+        inits, seqs = carry_chain_inputs()
+        block = self.srandom(inits, seqs)
+        alone = np.concatenate([self.srandom([i], [q]) for i, q in zip(inits, seqs)])
+        assert np.array_equal(block, alone)
+        assert np.array_equal(self.srandom(inits[::-1], seqs[::-1]), alone[::-1])
 
     def test_probe_finds_the_layout_of_this_numpy(self):
         assert sampling._pcg64_word_order() in ((0, 1, 2, 3), (1, 0, 3, 2))

@@ -8,8 +8,10 @@ import pytest
 
 from ibrownian import exact
 from ibrownian.spectral import (
+    _closed_form_terms,
     _correlation_rows,
     _exp_sum,
+    _float_coeffs,
     _left_residue_terms,
     CorrelationExpansion,
     RationalTransfer,
@@ -249,6 +251,14 @@ class TestCrossCorrelation:
                 ), (j, k)
                 assert all(type(c) is Fraction and type(r) is Fraction
                            for c, r in expansion.pos_terms + expansion.neg_terms)
+
+    def test_table_coefficients_are_the_exact_terms_as_floats(self):
+        # Every pair the correlate CLI accepts (--n up to 70), bit for bit.
+        for j in range(71):
+            for k in range(71):
+                want = [float(c) for c, _ in _closed_form_terms(j, k)]
+                got = _float_coeffs(j, k)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (j, k)
 
     def test_shared_evaluator_at_signed_zero(self):
         # At tau = +0.0 and -0.0 both callers of _exp_sum take the tau >= 0
