@@ -192,7 +192,8 @@ def _error_line(code: int, message: str) -> None:
 
 
 def _sample_csv(sample: PathSample) -> Iterator[str]:
-    """The lines of write_sample_csv, header first."""
+    """CSV lines of a path: header time,w0,...,wn, then a row per time in
+    shortest round-trip floats."""
     yield "time," + ",".join(f"w{k}" for k in range(sample.order + 1)) + "\n"
     # Rows joined with their times 1024 at a time, not the whole path in one
     # copy, and formatted one at a time: a whole-array tolist() holds every
@@ -202,11 +203,6 @@ def _sample_csv(sample: PathSample) -> Iterator[str]:
         rows = np.column_stack((sample.times[lo:hi], sample.states[lo:hi]))
         for row in rows.astype(float, copy=False):
             yield ",".join(map(repr, row.tolist())) + "\n"
-
-
-def write_sample_csv(sample: PathSample) -> str:
-    """CSV text for a path: header time,w0,...,wn; shortest round-trip floats."""
-    return "".join(_sample_csv(sample))
 
 
 def _check_cap(n: int, cap: int, subcommand: str, flag: str = "--n") -> None:
@@ -407,7 +403,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error_line(EXIT_IO, str(exc))
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ exact factorization of the inverse,
 
     R^-1(t) = T(t) A' Lambda A T(t),        T(t) = diag(t^-(k+1/2)),
 
-with A and Lambda taken from the exact layer and converted to float once.
+with the exact layer's A, Lambda and A' Lambda A converted to float once.
 Each density has a log-space twin; the plain versions are thin
 exponentials of the log versions, which is what to call when |w| is large
 or t is small.
@@ -62,7 +62,8 @@ def _a_float(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _a_star_float(n: int) -> np.ndarray:
-    return _readonly(np.array(exact.star(exact.a_matrix(n)), dtype=float))
+    """A* (A with its odd j + k entries negated) is B, exact.b_matrix."""
+    return _readonly(np.array(exact.b_matrix(n), dtype=float))
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +98,9 @@ def _drift_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _a_lambda_a_float(n: int) -> np.ndarray:
-    """A' Lambda A computed exactly, then converted: the t = 1 inverse covariance."""
-    a = exact.a_matrix(n)
-    m = exact.mat_mul(exact.transpose(a), exact.mat_mul(exact.lambda_matrix(n), a))
+    """The t = 1 inverse covariance A' Lambda A, as the integers j! k! rho[j][k]."""
+    f = [math.factorial(j) for j in range(n + 1)]
+    m = [[f[j] * f[k] * int(v) for k, v in enumerate(r)] for j, r in enumerate(exact.rho_matrix(n))]
     return _readonly(np.array(m, dtype=float))
 
 

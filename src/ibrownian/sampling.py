@@ -85,7 +85,7 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = min(8, len(os.sched_getaffinity(0)))
 else:
     _WORKERS = min(8, os.cpu_count() or 1)
-# exp() overflows past this; sample_x raises exp(t) to the power k + 1/2.
+# exp() overflows past this; sample_x raises exp(t) to the powers +-(k + 1/2).
 _MAX_LOG_TIME = 700.0
 # The kernel divides by d! as a float for d up to the order; 171! is beyond
 # the float range.
@@ -272,12 +272,12 @@ def _pcg64_states(seed_words: list[np.ndarray], start: int, stop: int):
         end = min(stop, start + _SEED_BLOCK, (start | _M32) + 1)
         low = np.arange(index_words[0], index_words[0] + end - start, dtype=np.uint64)
         shared = [np.array([w], dtype=np.uint32) for w in index_words[1:]]
-        entropy = seed_words + [low.astype(np.uint32)] + shared
-        w = [word.astype(np.uint64) for word in _generate_state(entropy)]
+        w = _generate_state(seed_words + [low.astype(np.uint32)] + shared)
         # generate_state(4, uint64) pairs the uint32 words little-endian; PCG64
         # reads the pairs as (high, low) of its initial state and of its
         # stream selector.
-        u = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+        u = [w[k].astype(np.uint64) | w[k + 1].astype(np.uint64) << 32 for k in range(0, 8, 2)]
+        del w, low  # not kept alive through the product below
         yield _pcg64_srandom((u[1], u[0]), (u[3], u[2]))
         start = end
 
@@ -452,15 +452,15 @@ def sample_x_paths(
 
     The integrated motion is sampled on the exponentiated grid and component
     k is scaled by e^{-(k+1/2) t}, which is what makes the result stationary.
-    Times beyond 700 / max(1, n + 1/2) raise ValueError: there e^t to the
-    power n + 1/2 overflows.
+    Times outside +-700 / max(1, n + 1/2) raise ValueError: there e^t to the
+    power n + 1/2, or its inverse, overflows.
     """
     n = _check_nonnegative(n)
     tgrid = np.asarray(times, dtype=float)
     _validate_times(tgrid, positive=False)
-    last_time = _MAX_LOG_TIME / max(1.0, n + 0.5)
-    if tgrid[-1] > last_time:
-        raise ValueError(f"times beyond {last_time:g} overflow the exponential clock at order {n}")
+    bound = _MAX_LOG_TIME / max(1.0, n + 0.5)
+    if tgrid[0] < -bound or tgrid[-1] > bound:
+        raise ValueError(f"times outside +-{bound:g} overflow the exponential clock at order {n}")
     w = sample_w_paths(n, np.exp(tgrid), n_paths, seed, first_path)
     return w * np.exp(-np.multiply.outer(tgrid, _half_powers(n)[1]))
 

@@ -227,14 +227,11 @@ class CorrelationExpansion:
                 raise ValueError("decay rates must be positive")
             if len(set(rates)) != len(rates):
                 raise ValueError("decay rates must be distinct")
-        # at() runs once per lag and pair, so the terms go to float here, once.
-        for name, side in (("_pos_floats", self.pos_terms), ("_neg_floats", self.neg_terms)):
-            floats = tuple(tuple(map(float, column)) for column in zip(*side)) or ((), ())
-            object.__setattr__(self, name, floats)
 
     def at(self, tau: float) -> float:
-        coeffs, rates = self._pos_floats if tau >= 0 else self._neg_floats
-        return _exp_sum(coeffs, [math.exp(-r * abs(tau)) for r in rates])
+        side = self.pos_terms if tau >= 0 else self.neg_terms
+        decays = [math.exp(-float(r) * abs(tau)) for _, r in side]
+        return _exp_sum([float(c) for c, _ in side], decays)
 
     def at_zero(self) -> Fraction:
         """Exact variance/covariance at lag zero."""

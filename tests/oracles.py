@@ -6,11 +6,11 @@ elimination, and the spectral closed forms are checked against adaptive
 QUADPACK quadrature rather than against the residue calculus they came
 from.  The samplers' cumulative-sum kernel is checked against the plain
 step-by-step recursion.  The integer fast paths of the exact layer (rho_matrix,
-mat_mul), the float conversion in CorrelationExpansion and the sample CSV
-writer are checked against the plain Fraction and per-value code they
-replaced.  rho_matrix's Cauchy form is checked against every form it
-replaced: the Fraction sum, Choi's binomial sum and Choi's product of
-binomials.
+mat_mul), the float conversion in CorrelationExpansion, the float tables of
+the density layer and the sample CSV writer are checked against the plain
+Fraction and per-value code they replaced.  rho_matrix's Cauchy form is
+checked against every form it replaced: the Fraction sum, Choi's binomial
+sum and Choi's product of binomials.
 """
 
 import math
@@ -246,6 +246,22 @@ def mat_mul_fraction_loop(x, y):
                         row[j] += v * y[k][j]
         out.append(row)
     return out
+
+
+def a_lambda_a_by_products(n):
+    """A' Lambda A as two exact Fraction products, then converted to float."""
+    from ibrownian import exact
+
+    a = exact.a_matrix(n)
+    m = exact.mat_mul(exact.transpose(a), exact.mat_mul(exact.lambda_matrix(n), a))
+    return np.array(m, dtype=float)
+
+
+def a_star_by_star(n):
+    """A* as the sign flip star(A) of the exact A, then converted to float."""
+    from ibrownian import exact
+
+    return np.array(exact.star(exact.a_matrix(n)), dtype=float)
 
 
 def expansion_at_per_call(expansion, tau):

@@ -29,7 +29,6 @@ from ibrownian.cli import (
     MAX_VERIFY_PATH_STEPS,
     MAX_VERIFY_PATHS,
     main,
-    write_sample_csv,
 )
 from ibrownian.sampling import PathSample, sample_w
 from ibrownian.spectral import cross_correlation
@@ -445,17 +444,17 @@ class TestSample:
 
     def test_write_parse_inverse(self):
         path = sample_w(1, (0.25, 1.0), 5)
-        text = write_sample_csv(path)
+        text = "".join(cli._sample_csv(path))
         assert text.startswith("time,w0,w1\n")
 
     def test_csv_matches_per_value_formatter(self):
         path = sample_w(2, tuple(10.0 * j / 2000 for j in range(1, 2001)), 1)
-        assert write_sample_csv(path) == sample_csv_per_value(path)
+        assert "".join(cli._sample_csv(path)) == sample_csv_per_value(path)
         edge = [-0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 0.1, 2.0**53 + 2.0]
         times = np.arange(1.0, len(edge) + 1.0)
         states = np.array([edge, edge[::-1], [-v for v in edge]]).T.copy()
         special = PathSample(order=2, times=times, states=states, seed=0)
-        text = write_sample_csv(special)
+        text = "".join(cli._sample_csv(special))
         assert text == sample_csv_per_value(special)
         assert text.split("\n")[1] == "1.0,-0.0,9007199254740994.0,0.0"
         assert "5e-324" in text and "1e-300" in text and "1e+308" in text
@@ -483,12 +482,12 @@ class TestSample:
         assert json.loads(line) == {"error": "times must be finite", "code": EXIT_DOMAIN}
 
     @pytest.mark.parametrize("write_chars", [1, 700, cli._WRITE_CHARS])
-    def test_streamed_csv_is_write_sample_csv(self, capsys, tmp_path, monkeypatch, write_chars):
-        # Rows are formatted and written in batches, with the bytes of
-        # write_sample_csv, on stdout and in a file; 2500 rows span blocks of
+    def test_streamed_csv_is_the_joined_lines(self, capsys, tmp_path, monkeypatch, write_chars):
+        # Rows are formatted and written in batches, with the bytes of the
+        # joined CSV lines, on stdout and in a file; 2500 rows span blocks of
         # 1024 rows.
         monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
-        whole = write_sample_csv(sample_w(3, 10.0 * np.arange(1, 2501) / 2500, 5))
+        whole = "".join(cli._sample_csv(sample_w(3, 10.0 * np.arange(1, 2501) / 2500, 5)))
         argv = ("sample", "--n", "3", "--t", "10", "--grid", "2500", "--seed", "5")
         assert run_cli(capsys, *argv) == (EXIT_OK, whole, "")
         target = tmp_path / "s.csv"
@@ -506,7 +505,7 @@ class TestSample:
         finally:
             tracemalloc.stop()
         size = target.stat().st_size
-        assert target.read_text(encoding="utf-8") == write_sample_csv(path)
+        assert target.read_text(encoding="utf-8") == "".join(cli._sample_csv(path))
         assert peak < size / 4, (peak, size)
 
     @pytest.mark.parametrize("write_chars", [1, 100])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from ibrownian import exact
+from ibrownian import densities, exact
 from ibrownian.densities import (
     TimeScaling,
     conditional_density,
@@ -29,7 +29,12 @@ from ibrownian.densities import (
 )
 from ibrownian.sampling import covariance_root
 from ibrownian.spectral import cross_correlation, sigma_sq
-from oracles import fraction_covariance, gaussian_log_density
+from oracles import (
+    a_lambda_a_by_products,
+    a_star_by_star,
+    fraction_covariance,
+    gaussian_log_density,
+)
 
 F = Fraction
 
@@ -136,6 +141,24 @@ class TestRInverse:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             r_inverse(2, -0.5)
+
+    def test_tables_are_the_fraction_products_bit_for_bit(self):
+        # A' Lambda A is read as j! k! rho[j][k] from rho_matrix's integers and
+        # A* as b_matrix; the Fraction products they replaced give the same
+        # bits up to n = 74, the last order whose A' Lambda A fits in a float.
+        for n in range(75):
+            for table, oracle in [
+                (densities._a_lambda_a_float(n), a_lambda_a_by_products(n)),
+                (densities._a_star_float(n), a_star_by_star(n)),
+            ]:
+                assert table.shape == oracle.shape and table.tobytes() == oracle.tobytes(), n
+
+    @pytest.mark.parametrize("n", range(75, 81))
+    def test_a_lambda_a_beyond_the_float_range_overflows_on_both_routes(self, n):
+        with pytest.raises(OverflowError):
+            densities._a_lambda_a_float(n)
+        with pytest.raises(OverflowError):
+            a_lambda_a_by_products(n)
 
 
 class TestDriftAndMean:

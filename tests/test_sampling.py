@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -787,6 +788,25 @@ class TestSampleX:
             assert np.all(np.isfinite(sample_x_paths(n, times, 20, 3)))
         with pytest.raises(ValueError, match="overflow the exponential clock"):
             sample_x(n, (0.0, 1.02 * last), 0)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_finite_down_to_the_first_time_and_rejected_before_it(self, n):
+        # e^-t is raised to the power k + 1/2 too, so the first accepted time
+        # is -700 / max(1, n + 1/2); every warning is an error here.
+        first = -700.0 / max(1.0, n + 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(sample_x_paths(n, (first, 0.0), 20, 3)))
+        with pytest.raises(ValueError, match="overflow the exponential clock"):
+            sample_x(n, (1.02 * first, 0.0), 0)
+
+    def test_early_times_raise_instead_of_nan_or_a_zero_clock(self):
+        # e^(2.5 * 300) overflowed into NaN; e^-800 underflowed to a clock
+        # time of 0, which was reported as a non-positive first time.
+        with pytest.raises(ValueError, match="overflow the exponential clock"):
+            sample_x_paths(2, (-300.0, 0.0), 2, 1)
+        with pytest.raises(ValueError, match="overflow the exponential clock"):
+            sample_x(0, (-800.0, 0.0), 0)
 
 
 class TestQuadraticLaplace:

@@ -291,6 +291,14 @@ class TestCrossCorrelation:
         for tau in taus:
             assert custom.at(tau) == expansion_at_per_call(custom, tau)
 
+    def test_expansion_holds_only_its_exact_terms(self):
+        # No float copy of the terms is kept beside them.
+        for j, k in [(0, 0), (2, 5), (7, 3)]:
+            expansion = cross_correlation(j, k)
+            assert vars(expansion) == {
+                "pos_terms": expansion.pos_terms, "neg_terms": expansion.neg_terms
+            }
+
 
 class TestMatrixSpectralConsistency:
     """The exact matrix layer and the transfer functions describe one object:
