@@ -322,12 +322,10 @@ def _correlate_csv(order: int, pairs: list, taus: list) -> Iterator[str]:
 
 
 def _run_correlate(ns: argparse.Namespace) -> int:
-    if ns.n < 0:
-        raise ValueError("correlate needs --n >= 0")
+    exact._check_nonnegative(ns.n, "correlate --n")
     _check_cap(ns.n, MAX_CORRELATE_N, "correlate")
     # The grid spans 2 * tau_max; beyond the float range linspace ends in nan.
-    if not (ns.tau_max > 0 and math.isfinite(2.0 * ns.tau_max)):
-        raise ValueError("correlate needs --tau-max > 0 with 2 * tau-max finite")
+    exact._check_real(2.0 * ns.tau_max, "correlate's grid span 2 * --tau-max", positive=True)
     pairs = [(j, k) for j in range(ns.n + 1) for k in range(ns.n + 1)]
     if ns.fmt == "json":
         _emit(_correlate_json(ns.n, pairs), ns.out)
@@ -341,9 +339,7 @@ def _run_sample(ns: argparse.Namespace) -> int:
     if ns.times is not None:
         points = len(ns.times)
     elif ns.t is not None and ns.grid is not None:
-        if ns.grid < 1:
-            raise ValueError("--grid must be at least 1")
-        points = ns.grid
+        points = exact._check_nonnegative(ns.grid, "--grid", 1)
     else:
         raise ValueError("sample needs --times, or --t together with --grid")
     _check_cap(points * (ns.n + 2), MAX_SAMPLE_VALUES, "sample", "time points x (--n + 2)")

@@ -30,15 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .exact import _check_nonnegative
+from .exact import _check_nonnegative, _check_real
 from .spectral import sigma_sq
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _check_time(t: float) -> None:
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"time must be positive and finite, got {t!r}")
 
 
 def _as_state(x, name: str = "state") -> np.ndarray:
@@ -134,7 +129,7 @@ class TimeScaling:
 
     def __post_init__(self):
         object.__setattr__(self, "order", _check_nonnegative(self.order))
-        _check_time(self.t)
+        _check_real(self.t, positive=True)
 
     def diag(self) -> np.ndarray:
         return self.t ** _half_powers(self.order)[0]
@@ -146,7 +141,7 @@ class TimeScaling:
 def covariance_r(n: int, t: float) -> np.ndarray:
     """State covariance at horizon t: entries t^(j+k+1)/(j! k! (j+k+1))."""
     n = _check_nonnegative(n)
-    _check_time(t)
+    _check_real(t, positive=True)
     j = np.arange(n + 1)
     fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
     ssum = j[:, None] + j[None, :]
@@ -164,7 +159,7 @@ def r_inverse(n: int, t: float) -> np.ndarray:
     double to its exact value.
     """
     n = _check_nonnegative(n)
-    _check_time(t)
+    _check_real(t, positive=True)
     j = np.arange(n + 1)
     return float(t) ** -(j[:, None] + j[None, :] + 1) * _a_lambda_a_float(n)
 
@@ -176,7 +171,7 @@ def drift_matrix(n: int, t: float) -> np.ndarray:
     later.  Equal to T^-1(t) Gamma T(t) for t > 0, and to the identity at
     t = 0.
     """
-    return _drift(_check_nonnegative(n), t)
+    return _drift(_check_nonnegative(n), _check_real(t))
 
 
 def _drift(n: int, t: float) -> np.ndarray:
@@ -241,11 +236,8 @@ def log_conditional_density(x_n: float, x_prefix) -> float:
     Gaussian with variance sigma_n^2 around the projection residual
     xhat = (n!/(2n)!) sum_k A[n][k] x[k].
     """
-    prefix = np.asarray(x_prefix, dtype=float).reshape(-1)
-    n = prefix.size
-    full = np.append(prefix, float(x_n))
-    if not np.all(np.isfinite(full)):
-        raise ValueError("state values must be finite")
+    full = _as_state(np.append(x_prefix, x_n))
+    n = full.size - 1
     xhat = _innovation_gain(n) * float(_a_float(n)[n] @ full)
     s2 = float(sigma_sq(n))
     return -0.5 * math.log(2.0 * math.pi * s2) - xhat * xhat / (2.0 * s2)
@@ -296,8 +288,7 @@ def log_transition_density(w, a, t: float) -> float:
     av = _as_state(a, "state a")
     if wv.size != av.size:
         raise ValueError("states w and a must have the same order")
-    _check_time(t)
-    return _log_transition_density(wv, av, t)
+    return _log_transition_density(wv, av, _check_real(t, positive=True))
 
 
 def _log_transition_density(w: np.ndarray, a: np.ndarray, t: float) -> float:

@@ -44,18 +44,33 @@ def _fact(n: int) -> int:
     return math.factorial(n)
 
 
-def _check_nonnegative(value, noun: str = "order") -> int:
-    """Validate and canonicalize an order or dimension to a plain int (numpy ints welcome).
+def _check_nonnegative(value, noun: str = "order", minimum: int = 0) -> int:
+    """Check an integer of at least `minimum`; return it as a plain int (numpy ints welcome).
 
-    Used for every order and dimension; times, states and seeds have their own
-    validators.  `noun` names the quantity in the error.
+    Used for every order, dimension, count and path index; real scalars go
+    through _check_real, states and seeds have their own validators.
+    `noun` names the quantity in the error.
     """
     try:
-        value = operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{noun} must be a non-negative integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{noun} must be a non-negative integer, got {value!r}")
+        index = None
+    if index is None or index < minimum:
+        if minimum == 0:
+            rule = f"a non-negative integer, got {value!r}"
+        else:
+            rule = f"an integer, got {value!r}" if index is None else f"at least {minimum}"
+        raise ValueError(f"{noun} must be {rule}")
+    return index
+
+
+def _check_real(value, noun: str = "time", positive: bool = False, infinite: bool = False):
+    """Return a real scalar argument unchanged if it is finite (or, if `infinite`, any
+    number but NaN) and, if `positive`, above zero; raise ValueError otherwise."""
+    number = math.isfinite(value) or infinite and not math.isnan(value)
+    if not number or positive and not value > 0.0:
+        rule = ("a number" if infinite else "finite") + (" and positive" if positive else "")
+        raise ValueError(f"{noun} must be {rule}, got {value!r}")
     return value
 
 

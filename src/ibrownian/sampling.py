@@ -66,14 +66,13 @@ import numpy as np
 
 from .densities import (
     _a_inverse_float,
-    _check_time,
     _drift,
     _half_powers,
     _lambda_root,
     _log_transition_density,
     star_vector,
 )
-from .exact import _check_nonnegative
+from .exact import _check_nonnegative, _check_real
 
 # Bytes of normals the Laplace suite holds at once, all workers together;
 # paths per block follow from the grid and the worker count, so its memory
@@ -94,8 +93,7 @@ _MAX_ORDER = 170
 
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
     """Generator for one path substream of a master seed; see the seed protocol above."""
-    if path_index < 0:
-        raise ValueError("path index must be non-negative")
+    path_index = _check_nonnegative(path_index, "path index")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -106,9 +104,7 @@ def covariance_root(n: int, t: float) -> np.ndarray:
     Built as T^-1(t) A^-1 Lambda^-1/2 from the exact layer; never a
     floating-point Cholesky of the ill-conditioned covariance itself.
     """
-    n = _check_nonnegative(n)
-    _check_time(t)
-    return _covariance_root(n, t)
+    return _covariance_root(_check_nonnegative(n), _check_real(t, positive=True))
 
 
 def _covariance_root(n: int, t: float) -> np.ndarray:  # n and t checked
@@ -159,8 +155,7 @@ class MCEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError("a standard error needs at least 2 paths")
+        _check_nonnegative(self.n_paths, "n_paths", 2)  # a standard error needs 2 paths
 
 
 def _validate_times(times: np.ndarray, positive: bool) -> None:
@@ -345,11 +340,7 @@ def _path_normals(seed: int, first_path: int, n_paths: int, steps: int, width: i
     Row i holds the first steps*width normals of path_generator(seed,
     first_path + i), bit for bit.
     """
-    if not isinstance(first_path, (int, np.integer)):
-        raise TypeError(f"path index must be an integer, not {first_path!r}")
-    if first_path < 0:
-        raise ValueError("path index must be non-negative")
-    start = int(first_path)
+    start = _check_nonnegative(first_path, "path index")
     out = np.empty((n_paths, steps, width))
     for row, gen in zip(out, _loaded_streams(_seed_words(seed), start, start + n_paths)):
         gen.standard_normal(out=row)
@@ -422,8 +413,7 @@ def sample_w_paths(
         raise ValueError(
             f"order must be at most {_MAX_ORDER}, got {n}: {n}! is beyond the float range"
         )
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    n_paths = _check_nonnegative(n_paths, "n_paths", 1)
     tgrid = np.asarray(times, dtype=float)
     _validate_times(tgrid, positive=True)
 
@@ -481,7 +471,7 @@ def closed_form_quadratic_laplace(theta: float) -> float:
     2 sqrt(2) e^-u, exact to double precision there: e^-2u and
     (cos u / cosh u)^2 are both below 1e-300.
     """
-    if not (0.0 <= theta < math.inf):
+    if _check_real(theta, "theta") < 0.0:
         raise ValueError("theta must be finite and non-negative")
     u = math.sqrt(theta / 2.0)
     try:
@@ -567,6 +557,18 @@ def mc_quadratic_laplace(
     return mc_quadratic_laplace_thetas((theta,), n_paths, grid_size, seed)[0]
 
 
+def _check_laplace(thetas, n_paths, grid_size) -> tuple[tuple, int, int]:
+    """Every Laplace argument rule: thetas, a non-empty tuple of finite positive
+    values; grid_size at least 100; n_paths at least 2.  Returns them checked."""
+    thetas = tuple(thetas)
+    if not thetas:
+        raise ValueError("need at least one theta")
+    for theta in thetas:
+        _check_real(theta, "theta", positive=True)
+    grid_size = _check_nonnegative(grid_size, "grid_size", 100)
+    return thetas, _check_nonnegative(n_paths, "n_paths", 2), grid_size
+
+
 # Public, not in __all__: bench/tracer.py spans public functions only (path set = sampling time).
 def mc_quadratic_laplace_thetas(
     thetas, n_paths: int, grid_size: int, seed: int
@@ -577,16 +579,7 @@ def mc_quadratic_laplace_thetas(
     then made once, so each estimate equals a separate mc_quadratic_laplace
     call at its theta, bit for bit.
     """
-    thetas = tuple(thetas)
-    if not thetas:
-        raise ValueError("need at least one theta")
-    for theta in thetas:
-        if not (0.0 < theta < math.inf):
-            raise ValueError("theta must be finite and positive")
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+    thetas, n_paths, grid_size = _check_laplace(thetas, n_paths, grid_size)
     q = _integrated_w1sq(n_paths, grid_size, seed)
     estimates = []
     for theta in thetas:
@@ -603,14 +596,16 @@ def mc_transition_symmetry(n: int, trials: int, seed: int) -> dict:
 
     Random probes are drawn from the process's own law so they sit in the
     density's typical set: a ~ N(0, R(t)) and w a genuine transition from a
-    over lag t, with t log-uniform on [0.1, 10].  Evaluates both sides in
-    log space and reports the maximum relative discrepancy of the densities.
+    over lag t, with t log-uniform on [0.1, 10].  The statistic, the largest
+    relative gap of the two log densities, is exactly 0.0: with T = T(t) and S
+    the sign flips, A T S a = S A* T a, so the flipped side repeats the forward
+    arithmetic up to exact sign flips.  It catches a defect that breaks that
+    sign structure, not an inaccuracy.
     """
     n = _check_nonnegative(n)
     if n > 6:
         raise ValueError("symmetry probes support order <= 6")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _check_nonnegative(trials, "trials", 1)
     rng = path_generator(seed, 0)
     signs = star_vector(np.ones(n + 1))
     worst = 0.0

@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _check_nonnegative
+from .exact import _check_nonnegative, _check_real
 
 _HALF = Fraction(1, 2)
 
@@ -229,7 +229,7 @@ class CorrelationExpansion:
                 raise ValueError("decay rates must be distinct")
 
     def at(self, tau: float) -> float:
-        side = self.pos_terms if tau >= 0 else self.neg_terms
+        side = self.pos_terms if _check_real(tau, "tau", infinite=True) >= 0 else self.neg_terms
         decays = [math.exp(-float(r) * abs(tau)) for _, r in side]
         return _exp_sum([float(c) for c, _ in side], decays)
 
@@ -327,6 +327,6 @@ def impulse_response(n: int, t: float) -> float:
     Zero for t < 0; continuous at 0 for n >= 1.
     """
     n = _check_nonnegative(n)
-    if t < 0:
+    if _check_real(t, infinite=True) < 0:
         return 0.0
     return math.exp(-0.5 * t) * (1.0 - math.exp(-t)) ** n / math.factorial(n)

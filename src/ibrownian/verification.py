@@ -20,7 +20,9 @@ import math
 import numpy as np
 
 from .densities import covariance_r, drift_matrix
+from .exact import _check_nonnegative
 from .sampling import (
+    _check_laplace,
     _seed_words,
     closed_form_quadratic_laplace,
     mc_quadratic_laplace_thetas,
@@ -149,9 +151,9 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED,
     """Run one named suite, or all of them in a fixed order.
 
     `thetas` overrides the laplace suite's default (0.5, 1, 2) triple.
-    The master seed, the path count and that thetas is not empty are
-    checked here, before any suite runs: the suites offset the seed, and a
-    moment needs two paths for its standard error.
+    The master seed, the path count and, when the laplace suite is chosen,
+    its thetas and grid are checked here, before any suite runs: the suites
+    offset the seed, and a moment needs two paths for its standard error.
     """
     if name == "all":
         names = SUITE_ORDER
@@ -160,9 +162,8 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED,
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITE_ORDER}")
     _seed_words(seed)  # the samplers' rule: a non-negative integer
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+    n_paths = _check_nonnegative(n_paths, "n_paths", 2)
     chosen = (0.5, 1.0, 2.0) if thetas is None else tuple(thetas)
-    if not chosen:
-        raise ValueError("need at least one theta")
+    if "laplace" in names:
+        _check_laplace(chosen, n_paths, grid_size)
     return [SUITES[nm](seed, n_paths, grid_size, chosen) for nm in names]

@@ -89,6 +89,7 @@ class TestMatrices:
         assert code == EXIT_OK and out == ""
         assert json.loads(target.read_text())["entries"] == [["1", "0"], ["-1", "2"]]
 
+    @pytest.mark.windows
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     @pytest.mark.parametrize("write_chars", [1, 700, cli._WRITE_CHARS])
     @pytest.mark.parametrize("which", sorted(cli._MATRIX_BUILDERS))
@@ -354,6 +355,7 @@ class TestCorrelate:
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "c.json"))[0] == EXIT_OK
         assert (tmp_path / "c.json").read_text(encoding="utf-8") == whole + "\n"
 
+    @pytest.mark.windows
     @pytest.mark.parametrize("tau_max", ["1e-300", "0.37", "4", "40", "700"])
     def test_csv_cells_are_expansion_values(self, capsys, tau_max):
         # Every cell of the table, for every pair j, k <= 24, is the repr of
@@ -481,6 +483,7 @@ class TestSample:
         (line,) = err.splitlines()
         assert json.loads(line) == {"error": "times must be finite", "code": EXIT_DOMAIN}
 
+    @pytest.mark.windows
     @pytest.mark.parametrize("write_chars", [1, 700, cli._WRITE_CHARS])
     def test_streamed_csv_is_the_joined_lines(self, capsys, tmp_path, monkeypatch, write_chars):
         # Rows are formatted and written in batches, with the bytes of the
@@ -674,6 +677,15 @@ class TestVerify:
         assert code == EXIT_DOMAIN and out == "" and not recwarn.list
         (line,) = err.splitlines()
         assert json.loads(line) == {"error": "n_paths must be at least 2", "code": EXIT_DOMAIN}
+
+    @pytest.mark.parametrize("flag,value", [("--theta", "-1"), ("--grid", "50")])
+    def test_bad_laplace_argument_exits_before_any_suite(self, capsys, monkeypatch, flag, value):
+        for name in verification.SUITES:
+            monkeypatch.setitem(verification.SUITES, name, _must_not_be_called)
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", flag, value)
+        assert code == EXIT_DOMAIN and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == EXIT_DOMAIN
 
     # The suites offset the master seed by 0-5, so a check inside a suite
     # would see a non-negative seed.

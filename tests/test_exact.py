@@ -327,6 +327,21 @@ class TestValidationAndJson:
         with pytest.raises(ValueError, match=order):
             sampling.sample_w(bad, (1.0,), 0)
 
+    # A NaN time or lag, and an infinite time where the result would hold
+    # inf or NaN, raise instead of returning NaN.
+    @pytest.mark.parametrize("call", [
+        lambda: spectral.impulse_response(2, math.nan),
+        lambda: spectral.cross_correlation(2, 3).at(math.nan),
+        lambda: densities.drift_matrix(2, math.nan),
+        lambda: densities.drift_matrix(2, math.inf),
+        lambda: densities.mean_mu([1, 1], math.nan),
+        lambda: densities.mean_mu([0, 0], math.inf),
+    ], ids=["impulse_response", "at", "drift_matrix", "drift_matrix-inf", "mean_mu",
+            "mean_mu-inf"])
+    def test_nan_real_argument_raises(self, call):
+        with pytest.raises(ValueError, match="must be"):
+            call()
+
     def test_validator_canonicalizes_numpy_ints(self):
         assert ex.rho_matrix(np.int64(2)) == ex.rho_matrix(2)
         assert spectral.transfer_h(np.uint8(3)) == spectral.transfer_h(3)

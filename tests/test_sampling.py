@@ -73,6 +73,7 @@ def reference_normals(seed, first_path, n_paths, count):
     ])
 
 
+@pytest.mark.windows
 class TestBlockSeeding:
     """The samplers' block seeder against numpy's own per-path seeding."""
 
@@ -159,6 +160,7 @@ def carry_chain_inputs():
     return inits, seqs
 
 
+@pytest.mark.windows
 class TestStreamLoading:
     """PCG64 seeding in one Python integer per block and the write into the C struct."""
 
@@ -321,6 +323,7 @@ class TestStepKernel:
         monkeypatch.setattr(sampling, "_LAPLACE_BLOCK_BYTES", 3 * grid * 16)
         assert np.array_equal(_integrated_w1sq(3, grid, 9), one_per_block)
 
+    @pytest.mark.windows
     @pytest.mark.parametrize("steps", [1, 2, 37])
     @pytest.mark.parametrize("n", range(6))
     def test_kernel_scratch_keeps_the_bits(self, n, steps):
@@ -386,6 +389,7 @@ def started(monkeypatch):
     return count
 
 
+@pytest.mark.windows
 class TestLaplaceWorkers:
     """The Laplace path set on several threads: same bits, one memory budget."""
 
@@ -561,6 +565,7 @@ class TestLaplaceWorkers:
         assert not off_main & public, sorted(code.co_name for code in off_main & public)
 
 
+@pytest.mark.windows
 class TestSharedLaplacePathSet:
     """One path set per call serves every theta; nothing is kept between calls.
 
@@ -641,6 +646,17 @@ class TestSharedLaplacePathSet:
             with pytest.raises(ValueError, match="at least one theta"):
                 verification.run_suite(suite, n_paths=3001, grid_size=128, seed=9, thetas=())
         assert path_sets == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_w_paths(1, (1.0,), 2.5, 7),
+    lambda: mc_quadratic_laplace(1.0, 2.5, 100, 7),
+    lambda: mc_quadratic_laplace(1.0, 10, 100.5, 7),
+    lambda: mc_transition_symmetry(2, 1.5, 1),
+], ids=["sample_w_paths-n_paths", "laplace-n_paths", "laplace-grid_size", "symmetry-trials"])
+def test_non_integer_count_raises_value_error(call):
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call()
 
 
 class TestCovarianceRoot:
@@ -789,6 +805,7 @@ class TestSampleX:
         with pytest.raises(ValueError, match="overflow the exponential clock"):
             sample_x(n, (0.0, 1.02 * last), 0)
 
+    @pytest.mark.windows
     @pytest.mark.parametrize("n", range(9))
     def test_finite_down_to_the_first_time_and_rejected_before_it(self, n):
         # e^-t is raised to the power k + 1/2 too, so the first accepted time
@@ -800,6 +817,7 @@ class TestSampleX:
         with pytest.raises(ValueError, match="overflow the exponential clock"):
             sample_x(n, (1.02 * first, 0.0), 0)
 
+    @pytest.mark.windows
     def test_early_times_raise_instead_of_nan_or_a_zero_clock(self):
         # e^(2.5 * 300) overflowed into NaN; e^-800 underflowed to a clock
         # time of 0, which was reported as a non-positive first time.
@@ -886,6 +904,7 @@ class TestTransitionSymmetryMC:
     # The report reads 0.0 at seeds like these (forward and flipped agree
     # exactly), so it would not show a drift of the loop from the public
     # functions: each trial's pair is checked against them, bit for bit.
+    @pytest.mark.windows
     @pytest.mark.parametrize("seed", [1, 2, 42])
     @pytest.mark.parametrize("n", range(7))
     def test_each_trial_is_the_public_density_pair(self, n, seed, monkeypatch):
@@ -962,6 +981,7 @@ class TestVerificationSuites:
     # The moment suites build their products one column at a time and sum
     # each column once; their statistics must keep the bits of numpy's
     # gather, broadcast, mean and std forms, which the reports print.
+    @pytest.mark.windows
     @pytest.mark.parametrize("seed", [1, 2, 42])
     @pytest.mark.parametrize("n_paths", [2, 3, 1001])
     def test_moment_statistics_keep_the_plain_numpy_bits(self, n_paths, seed):
@@ -999,3 +1019,20 @@ class TestVerificationSuites:
     def test_path_count_is_checked_before_any_suite(self, n_paths):
         with pytest.raises(ValueError, match="n_paths must be at least 2"):
             verification.run_suite("w-covariance", n_paths=n_paths)
+
+    @pytest.mark.parametrize("thetas,grid_size,match", [
+        ((-1.0,), 1024, "theta"), ((0.0,), 1024, "theta"), ((math.nan,), 1024, "theta"),
+        ((math.inf,), 1024, "theta"), (None, 50, "grid_size must be at least 100"),
+    ], ids=["theta-negative", "theta-zero", "theta-nan", "theta-inf", "grid-50"])
+    def test_laplace_arguments_are_checked_before_any_suite(self, thetas, grid_size, match,
+                                                             monkeypatch):
+        for name in verification.SUITES:
+            monkeypatch.setitem(verification.SUITES, name, None)  # none may be called
+        with pytest.raises(ValueError, match=match):
+            verification.run_suite("all", thetas=thetas, grid_size=grid_size)
+
+    # Only the laplace suite reads the grid and the thetas.
+    @pytest.mark.parametrize("kwargs", [{"grid_size": 50}, {"thetas": (-1.0,)}])
+    def test_other_suites_ignore_the_laplace_arguments(self, kwargs):
+        (report,) = verification.run_suite("whiteness", n_paths=100, **kwargs)
+        assert set(report) == {"test", "statistic", "bound", "pass"}
