@@ -47,6 +47,8 @@ OUT_DIR_ENV = "IBROWNIAN_OUT_DIR"
 
 # Characters per write of a long output; stdout may be unbuffered.
 _WRITE_CHARS = 1 << 16
+# Rows of the sample CSV formatted at once.
+_CSV_ROWS = 256
 
 _MATRIX_BUILDERS = {
     "gamma": exact.gamma_matrix,
@@ -64,12 +66,14 @@ CORRELATE_GRID_POINTS = 81
 # was set where a run took about 10 s on a 2-CPU host: matrices at --n 360
 # (then rho, 9.3 s; now a-inverse, the slowest family, 1.6-2.0 s, and rho
 # 0.65-0.97 s); correlate at 70: 9.5-10.3 s in CSV or JSON.  The sample and
-# verify caps are extrapolated from smaller runs:
-# sample costs 1.3-1.5 us per CSV value (time points x (n + 2) of them),
-# verify --suite all about 18 us per path plus 37 ns per Laplace path step,
-# so 6e6 values take 7-10 s and the worst run the verify caps admit about
-# 11 s.  The Laplace grid cap is memory: up to 2**17 steps one path fits the
-# kernel's block budget, beyond it a path holds 24 bytes per step.
+# verify caps are extrapolated from smaller runs: verify --suite all costs
+# about 18 us per path plus 37 ns per Laplace path step, so the worst run
+# its caps admit takes about 11 s; sample cost 1.3-1.5 us per CSV value
+# (time points x (n + 2) of them) when the cap was set, and now 0.7-1.0 us
+# at --n 2 (the cap, --grid 1500000, 4.1-5.8 s) and 1.6-1.7 us at --n 40
+# (--grid 140000, 9.2-9.9 s).  The Laplace grid cap is memory: up to 2**17
+# steps one path fits the kernel's block budget, beyond it a path holds 24
+# bytes per step.
 MAX_MATRICES_N = 360
 MAX_CORRELATE_N = 70
 MAX_SAMPLE_VALUES = 6_000_000
@@ -195,14 +199,13 @@ def _sample_csv(sample: PathSample) -> Iterator[str]:
     """CSV lines of a path: header time,w0,...,wn, then a row per time in
     shortest round-trip floats."""
     yield "time," + ",".join(f"w{k}" for k in range(sample.order + 1)) + "\n"
-    # Rows joined with their times 1024 at a time, not the whole path in one
-    # copy, and formatted one at a time: a whole-array tolist() holds every
-    # value as a Python float at once.
-    for lo in range(0, len(sample.times), 1024):
-        hi = lo + 1024
-        rows = np.column_stack((sample.times[lo:hi], sample.states[lo:hi]))
-        for row in rows.astype(float, copy=False):
-            yield ",".join(map(repr, row.tolist())) + "\n"
+    # A block of rows at a time, formatted a column at a time: a whole-array
+    # tolist() holds every value as a Python float at once.
+    for lo in range(0, len(sample.times), _CSV_ROWS):
+        hi = lo + _CSV_ROWS
+        columns = [sample.times[lo:hi]] + list(sample.states[lo:hi].T)
+        rows = zip(*(map(repr, column.tolist()) for column in columns))
+        yield "".join(",".join(row) + "\n" for row in rows)
 
 
 def _check_cap(n: int, cap: int, subcommand: str, flag: str = "--n") -> None:
@@ -336,6 +339,8 @@ def _run_correlate(ns: argparse.Namespace) -> int:
 
 
 def _run_sample(ns: argparse.Namespace) -> int:
+    if ns.times is not None and (ns.t is not None or ns.grid is not None):
+        raise ValueError("sample takes --times or --t with --grid, not both")
     if ns.times is not None:
         points = len(ns.times)
     elif ns.t is not None and ns.grid is not None:

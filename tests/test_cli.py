@@ -542,6 +542,17 @@ class TestSample:
         values = [float(v) for line in out.splitlines()[1:] for v in line.split(",")]
         assert len(values) == 2 * (1 + 171) and all(map(math.isfinite, values))
 
+    @pytest.mark.parametrize("grid_flags", [("--t", "5", "--grid", "3"), ("--t", "5"), ("--grid", "3")])
+    def test_times_with_a_uniform_grid_flag_is_domain_error(self, capsys, grid_flags, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled although the flags conflict")
+
+        monkeypatch.setattr(cli, "sample_w", no_sampling)
+        code, out, err = run_cli(capsys, "sample", "--n", "1", "--times", "1,2", *grid_flags)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        (line,) = err.splitlines()
+        assert "--times" in json.loads(line)["error"]
+
     def test_missing_grid_spec_is_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "--n", "1")
         assert code == EXIT_DOMAIN
@@ -759,9 +770,15 @@ class TestPlumbing:
         # Objects made after the first main() stay collectable across later calls.
         run_cli(capsys, "matrices", "--n", "1", "--which", "a")
         frozen = gc.get_freeze_count()
-        garbage = [[] for _ in range(1000)]
-        assert run_cli(capsys, "matrices", "--n", "1", "--which", "a")[0] == EXIT_OK
-        assert gc.get_freeze_count() == frozen
+        # No collection in between: collecting a cycle that holds the last
+        # reference to a frozen object would lower the count.
+        gc.disable()
+        try:
+            garbage = [[] for _ in range(1000)]
+            assert run_cli(capsys, "matrices", "--n", "1", "--which", "a")[0] == EXIT_OK
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()
         del garbage
 
     def test_help_exits_zero(self, capsys):

@@ -333,12 +333,26 @@ class TestStepKernel:
         h = rng.uniform(0.5, 2.0, steps) * 10.0 ** rng.integers(-4, 3, steps)
         zs = rng.standard_normal((7, steps, n + 1))
         plain = zs.copy()
-        sampling._states_from_normals(plain, h)
+        sampling._states_from_normals(plain, h, np.empty((7, steps)))
         buffer = np.full((11, steps), np.nan)
         for paths in (7, 3):
             got = zs[:paths].copy()
             sampling._states_from_normals(got, h, buffer[:paths])
             assert np.array_equal(got, plain[:paths]), paths
+
+    @pytest.mark.windows
+    def test_carried_state_seeds_the_first_step(self):
+        # A grid cut in two, the second part started from the first part's
+        # last state, is the whole grid in one call, bit for bit.
+        rng = np.random.default_rng(5)
+        h = rng.uniform(0.5, 2.0, 40) * 10.0 ** rng.integers(-3, 2, 40)
+        zs = rng.standard_normal((3, 40, 4))
+        whole = zs.copy()
+        sampling._states_from_normals(whole, h, np.empty((3, 40)))
+        cut = zs.copy()
+        sampling._states_from_normals(cut[:, :17], h[:17], np.empty((3, 17)))
+        sampling._states_from_normals(cut[:, 17:], h[17:], np.empty((3, 23)), cut[:, 16])
+        assert np.array_equal(cut, whole)
 
     def test_laplace_memory_is_bounded_by_the_block_budget(self):
         _integrated_w1sq(2, 128, 9)  # first-call set-up outside the trace
@@ -350,6 +364,66 @@ class TestStepKernel:
             tracemalloc.stop()
         assert peak < 3 * sampling._LAPLACE_BLOCK_BYTES
 
+
+
+BLOCK = sampling._BLOCK_PATH_STEPS
+
+
+@pytest.fixture
+def one_block(monkeypatch):
+    """Call a sampler with every path and step in a single kernel call."""
+
+    def call(sampler, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_BLOCK_PATH_STEPS", 1 << 62)
+            return sampler(*args, **kwargs)
+
+    return call
+
+
+class TestStepBlocks:
+    """sample_w_paths in blocks of path-steps against one block, bit for bit."""
+
+    @pytest.mark.windows
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_long_grid_is_one_block_bit_for_bit(self, steps, one_block):
+        times = np.cumsum(np.random.default_rng(steps).exponential(1e-3, steps))
+        got = sample_w_paths(2, times, 1, 8)
+        assert np.array_equal(got, one_block(sample_w_paths, 2, times, 1, 8))
+        assert_matches_recursion(got, sequential_states(2, times, _path_normals(8, 0, 1, steps, 3)))
+
+    @pytest.mark.windows
+    @pytest.mark.parametrize("steps", [2, 3, 4])
+    def test_many_paths_of_few_steps_are_one_block_bit_for_bit(self, steps, one_block):
+        times = np.linspace(0.3, 2.0, steps)
+        got = sample_w_paths(3, times, BLOCK + 7, 4)
+        assert np.array_equal(got, one_block(sample_w_paths, 3, times, BLOCK + 7, 4))
+
+    @pytest.mark.windows
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+    def test_every_order_is_one_block_bit_for_bit(self, n, one_block):
+        times = np.linspace(1e-3, 5.0, 2 * BLOCK + 3)
+        got = sample_w_paths(n, times, 2, 6, first_path=5)
+        assert np.array_equal(got, one_block(sample_w_paths, n, times, 2, 6, first_path=5))
+
+    @pytest.mark.windows
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+    def test_x_paths_are_one_block_bit_for_bit(self, n, one_block):
+        times = np.linspace(-2.0, 3.0, 2 * BLOCK + 3)
+        got = sample_x_paths(n, times, 2, 6, first_path=3)
+        assert np.array_equal(got, one_block(sample_x_paths, n, times, 2, 6, first_path=3))
+
+    def test_memory_is_the_output_plus_a_few_blocks(self):
+        times = np.arange(1, 200_001) * 5e-5
+        sample_w_paths(2, times[:10], 1, 3)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            sample_w_paths(2, times, 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output, block = times.size * 3 * 8, BLOCK * 3 * 8
+        assert peak < output + 8 * block, (peak, output)
 
 
 class BlockFailure(Exception):
@@ -405,7 +479,7 @@ class TestLaplaceWorkers:
     def test_worker_count_does_not_move_bits(self, workers, n_paths, grid, monkeypatch, started):
         h = np.full(grid, 1.0 / grid)
         states = _path_normals(9, 0, n_paths, grid, 2)
-        sampling._states_from_normals(states, h)
+        sampling._states_from_normals(states, h, np.empty((n_paths, grid)))
         sq = np.square(states[:, :, 1])
         direct = (sq.sum(axis=1) - 0.5 * sq[:, -1]) * h[0]
         monkeypatch.setattr(sampling, "_WORKERS", workers)
@@ -755,7 +829,8 @@ class TestSampleW:
     def test_finite_states_keep_the_kernel_bits(self, n, times):
         states = sample_w_paths(n, times, 3, 5)
         direct = _path_normals(5, 0, 3, len(times), n + 1)
-        sampling._states_from_normals(direct, np.diff(np.asarray(times), prepend=0.0))
+        sampling._states_from_normals(direct, np.diff(np.asarray(times), prepend=0.0),
+                                      np.empty((3, len(times))))
         assert np.isfinite(states).all()
         assert states.tobytes() == direct.tobytes()
 
