@@ -4,7 +4,7 @@ Four layers:
 
     exact         arbitrary-precision rational matrix families and identities
     spectral      transfer functions, exact residue inner products, covariances
-    densities     joint / conditional / marginal / transition densities (float)
+    densities     joint / conditional / marginal / transition densities, rounded once
     sampling      exact path samplers and Monte Carlo estimators
     verification  Monte Carlo check suites with 3-standard-error bands
 

@@ -1,4 +1,4 @@
-"""Joint, conditional, marginal, and transition densities in floating point.
+"""Joint, conditional, marginal, and transition densities.
 
 State convention: a state vector for order n has n+1 components, component
 k being the k-fold integral of the driving Brownian motion (component 0 is
@@ -9,13 +9,15 @@ The covariance of the state at horizon t is the Hilbert-type matrix
     R(t)[j][k] = t^(j+k+1) / (j! k! (j+k+1))
 
 which is catastrophically ill-conditioned, so nothing in this module ever
-inverts it numerically.  Instead every density is evaluated through the
+inverts it numerically.  Instead every density and r_inverse go through the
 exact factorization of the inverse,
 
     R^-1(t) = T(t) A' Lambda A T(t),        T(t) = diag(t^-(k+1/2)),
 
-with the exact layer's A, Lambda and A' Lambda A converted to float once.
-Each density has a log-space twin; the plain versions are thin
+whose A, Lambda and A' Lambda A are integer matrices.  The float inputs are
+read as the exact binary rationals they are, the quadratic form (or an
+entry of r_inverse) is formed in integers, and it is rounded once, to the
+nearest double.  Each density has a log-space twin; the plain versions are
 exponentials of the log versions, which is what to call when |w| is large
 or t is small.
 """
@@ -23,6 +25,7 @@ or t is small.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,29 +54,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _a_float(n: int) -> np.ndarray:
-    return _readonly(np.array(exact.a_matrix(n), dtype=float))
-
-
-@lru_cache(maxsize=None)
-def _a_star_float(n: int) -> np.ndarray:
-    """A* (A with its odd j + k entries negated) is B, exact.b_matrix."""
-    return _readonly(np.array(exact.b_matrix(n), dtype=float))
-
-
-@lru_cache(maxsize=None)
-def _a_inverse_float(n: int) -> np.ndarray:
-    return _readonly(np.array(exact.a_inverse_matrix(n), dtype=float))
-
-
-@lru_cache(maxsize=None)
-def _lambda_diag(n: int) -> np.ndarray:
-    return _readonly(np.arange(1, 2 * n + 2, 2, dtype=float))
-
-
-@lru_cache(maxsize=None)
-def _lambda_root(n: int) -> np.ndarray:
-    return _readonly(np.sqrt(1.0 / _lambda_diag(n)))
+def _a_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row m of A as the integers A[m][0..m], its lower-triangular part."""
+    return tuple(tuple(int(v) for v in row[: m + 1]) for m, row in enumerate(exact.a_matrix(n)))
 
 
 @lru_cache(maxsize=None)
@@ -92,16 +75,18 @@ def _drift_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _a_lambda_a_float(n: int) -> np.ndarray:
+def _a_lambda_a(n: int) -> tuple[tuple[int, ...], ...]:
     """The t = 1 inverse covariance A' Lambda A, as the integers j! k! rho[j][k]."""
-    f = [math.factorial(j) for j in range(n + 1)]
-    m = [[f[j] * f[k] * int(v) for k, v in enumerate(r)] for j, r in enumerate(exact.rho_matrix(n))]
-    return _readonly(np.array(m, dtype=float))
+    f, rho = [math.factorial(j) for j in range(n + 1)], exact.rho_matrix(n)
+    return tuple(tuple(f[j] * f[k] * int(v) for k, v in enumerate(r)) for j, r in enumerate(rho))
 
 
-@lru_cache(maxsize=None)
-def _innovation_gain(n: int) -> float:
-    return float(Fraction(math.factorial(n), math.factorial(2 * n)))
+def _exp(log_value: float) -> float:
+    """e^log_value, with a value beyond the float range a ValueError."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"exp({log_value!r}) is beyond the float range") from None
 
 
 @lru_cache(maxsize=None)
@@ -113,11 +98,8 @@ def _log_k(n: int) -> float:
     """
     odd_product = Fraction(math.factorial(2 * n + 1), 2**n * math.factorial(n))
     col = math.prod(math.factorial(2 * m) // math.factorial(m) for m in range(n + 1))
-    return (
-        -0.5 * (n + 1) * _LOG_2PI
-        + 0.5 * (math.log(odd_product.numerator) - math.log(odd_product.denominator))
-        + math.log(col)
-    )
+    log_odd = math.log(odd_product.numerator) - math.log(odd_product.denominator)
+    return -0.5 * (n + 1) * _LOG_2PI + 0.5 * log_odd + math.log(col)
 
 
 @dataclass(frozen=True)
@@ -132,10 +114,20 @@ class TimeScaling:
         _check_real(self.t, positive=True)
 
     def diag(self) -> np.ndarray:
-        return self.t ** _half_powers(self.order)[0]
+        return self._power(_half_powers(self.order)[0])
 
     def inverse_diag(self) -> np.ndarray:
-        return self.t ** _half_powers(self.order)[1]
+        return self._power(_half_powers(self.order)[1])
+
+    def _power(self, exponents: np.ndarray) -> np.ndarray:
+        """t to each exponent; a power beyond the float range is a ValueError."""
+        try:
+            with np.errstate(over="raise"):
+                return self.t ** exponents
+        except FloatingPointError:
+            raise ValueError(
+                f"t = {self.t!r} to the powers of order {self.order} is beyond the float range"
+            ) from None
 
 
 def covariance_r(n: int, t: float) -> np.ndarray:
@@ -153,15 +145,18 @@ def r_inverse(n: int, t: float) -> np.ndarray:
 
     Entrywise this equals t^-(j+k+1) j! k! rho[j][k] with rho from the exact
     layer; the factored route avoids ever inverting the Hilbert-type
-    covariance in floating point.  The two scalings t^-(j+1/2) t^-(k+1/2)
-    are applied as the one integer power t^-(j+k+1); when t is a power of
-    two that power and the product are exact, so each entry is the nearest
-    double to its exact value.
+    covariance in floating point.  With t = p/q exactly, each entry is one
+    quotient of integers, j! k! rho[j][k] q^(j+k+1) / p^(j+k+1), so it is the
+    nearest double to its exact value.  An entry beyond the float range
+    (from order 75 at t = 1) raises ValueError.
     """
     n = _check_nonnegative(n)
-    _check_real(t, positive=True)
-    j = np.arange(n + 1)
-    return float(t) ** -(j[:, None] + j[None, :] + 1) * _a_lambda_a_float(n)
+    p, q = float(_check_real(t, positive=True)).as_integer_ratio()
+    try:
+        return np.array([[v * q ** (j + k + 1) / p ** (j + k + 1) for k, v in enumerate(row)]
+                         for j, row in enumerate(_a_lambda_a(n))])
+    except OverflowError:
+        raise ValueError(f"r_inverse({n}, {t!r}) has entries beyond the float range") from None
 
 
 def drift_matrix(n: int, t: float) -> np.ndarray:
@@ -193,60 +188,65 @@ def star_vector(x) -> np.ndarray:
     return xv * signs
 
 
-def _half_quadratic_form(u: np.ndarray, v: np.ndarray | None = None) -> float:
-    """0.5 y' Lambda y for y = A u, or y = A u - A* v, without overflow on the way.
+def _half_form(t: float, w: list, a: list, first: int = 0) -> float:
+    """0.5 sum_{m >= first} (2m+1) y_m^2 for y = A T(t) w - A* T(t) a, rounded once.
 
-    u and v are first scaled by the power of two that brings their largest
-    entry into [0.5, 1), and the form is scaled back at the end.  Scaling by
-    a power of two is exact, so the bits are those of the unscaled formula
-    whenever that neither overflows nor underflows; when the form itself
-    exceeds the float range the result is inf, so the log density is -inf
-    and the density 0.
+    A* is A with its odd j + k entries negated.  With t = p/q and the states
+    as integers W, V over one power-of-two denominator D, y_m = sqrt(q/p) S_m / (p^n D)
+    for S_m = sum_k A[m][k] q^k p^(n-k) (W_k - (-1)^(m+k) V_k), so the form is
+    the one integer quotient q sum (2m+1) S_m^2 / (2 p^(2n+1) D^2), rounded to
+    the nearest double, or inf beyond the float range.
     """
-    n = u.size - 1
-    entries = u.tolist() if v is None else u.tolist() + v.tolist()
-    shift = -math.frexp(max(map(abs, entries)))[1]
-    y = _a_float(n) @ np.ldexp(u, shift)
-    if v is not None:
-        y -= _a_star_float(n) @ np.ldexp(v, shift)
+    n = len(w) - 1
+    p, q = float(t).as_integer_ratio()
+    ratios = [x.as_integer_ratio() for x in w + a]
+    d = max([den for _, den in ratios])
+    ints = [num * (d // den) for num, den in ratios]
+    sides = [], []  # the terms of S_m for even and for odd m
+    for k in range(n + 1):
+        c, x, y = q**k * p ** (n - k), ints[k], (-1) ** k * ints[n + 1 + k]
+        sides[0].append(c * (x - y))
+        sides[1].append(c * (x + y))
+    rows, total = _a_rows(n), 0
+    for m in range(first, n + 1):
+        total += (2 * m + 1) * sum(map(operator.mul, rows[m], sides[m % 2])) ** 2
     try:
-        return math.ldexp(0.5 * float(y @ (_lambda_diag(n) * y)), -2 * shift)
+        return q * total / (2 * p ** (2 * n + 1) * d * d)
     except OverflowError:
         return math.inf
 
 
 def log_stationary_density(x) -> float:
-    """Log joint density of the stationary components (X_0, ..., X_n) at x.
-
-    A state so large that the quadratic form overflows gives -inf, never a
-    numpy warning.
-    """
+    """Log joint density of the stationary components (X_0, ..., X_n) at x: the
+    transition from 0 over lag 1.  A state whose quadratic form is beyond the
+    float range gives -inf, never a numpy warning."""
     xv = _as_state(x)
-    return _log_k(xv.size - 1) - _half_quadratic_form(xv)
+    return _log_transition_density(xv, np.zeros(xv.size), 1.0)
 
 
 def stationary_density(x) -> float:
     """Joint density of the stationary components at x; maximal at x = 0."""
-    return math.exp(log_stationary_density(x))
+    return _exp(log_stationary_density(x))
 
 
 def log_conditional_density(x_n: float, x_prefix) -> float:
     """Log density of component n given components 0..n-1.
 
     Gaussian with variance sigma_n^2 around the projection residual
-    xhat = (n!/(2n)!) sum_k A[n][k] x[k].
+    xhat = (n!/(2n)!) sum_k A[n][k] x[k].  The gain n!/(2n)! cancels against
+    sigma_n^2, so the exponent is row n of the stationary quadratic form.
     """
     full = _as_state(np.append(x_prefix, x_n))
     n = full.size - 1
-    xhat = _innovation_gain(n) * float(_a_float(n)[n] @ full)
-    s2 = float(sigma_sq(n))
-    return -0.5 * math.log(2.0 * math.pi * s2) - xhat * xhat / (2.0 * s2)
+    s2 = sigma_sq(n)
+    log_s2 = math.log(s2.numerator) - math.log(s2.denominator)
+    return -0.5 * (_LOG_2PI + log_s2) - _half_form(1.0, full.tolist(), [0.0] * full.size, n)
 
 
 def conditional_density(x_n: float, x_prefix) -> float:
     """Density of component n given components 0..n-1; the chain product of
     these over n reproduces stationary_density."""
-    return math.exp(log_conditional_density(x_n, x_prefix))
+    return _exp(log_conditional_density(x_n, x_prefix))
 
 
 def normalizing_k(n: int) -> float:
@@ -255,25 +255,22 @@ def normalizing_k(n: int) -> float:
     K_n = (2 pi)^-(n+1)/2 sqrt((2n+1)!/(2^n n!)) prod_{m<=n} (2m)!/m!
     """
     n = _check_nonnegative(n)
-    return math.exp(_log_k(n))
+    return _exp(_log_k(n))
 
 
 def log_density_w(w, t: float) -> float:
     """Log density of the integrated-motion state at horizon t.
 
-    Evaluated as the stationary log density at the rescaled point
-    xi_k = t^-(k+1/2) w_k, plus the log Jacobian -((n+1)^2/2) log t.  An
-    |w| so large that the quadratic form overflows gives -inf.
+    The transition from 0 over lag t.  An |w| so large that the quadratic
+    form is beyond the float range gives -inf.
     """
     wv = _as_state(w, "state w")
-    n = wv.size - 1
-    xi = TimeScaling(n, t).diag() * wv
-    return -0.5 * (n + 1) ** 2 * math.log(t) + log_stationary_density(xi)
+    return _log_transition_density(wv, np.zeros(wv.size), _check_real(t, positive=True))
 
 
 def density_w(w, t: float) -> float:
     """Density of the integrated-motion state at horizon t; integrates to one."""
-    return math.exp(log_density_w(w, t))
+    return _exp(log_density_w(w, t))
 
 
 def log_transition_density(w, a, t: float) -> float:
@@ -282,7 +279,8 @@ def log_transition_density(w, a, t: float) -> float:
     Factored form: with T = T(t), the quadratic form is built from
     y = A T w - A* T a (A* the sign-flipped A), so the polynomial drift
     never appears explicitly and no covariance is inverted.  States so large
-    that the quadratic form overflows give -inf, never a numpy warning.
+    that the quadratic form is beyond the float range give -inf, never a
+    numpy warning.
     """
     wv = _as_state(w, "state w")
     av = _as_state(a, "state a")
@@ -294,8 +292,7 @@ def log_transition_density(w, a, t: float) -> float:
 def _log_transition_density(w: np.ndarray, a: np.ndarray, t: float) -> float:
     """log_transition_density for checked states of one order and a checked t."""
     n = w.size - 1
-    d = t ** _half_powers(n)[0]
-    return -0.5 * (n + 1) ** 2 * math.log(t) + _log_k(n) - _half_quadratic_form(d * w, d * a)
+    return -0.5 * (n + 1) ** 2 * math.log(t) + _log_k(n) - _half_form(t, w.tolist(), a.tolist())
 
 
 def transition_density(w, a, t: float) -> float:
@@ -305,4 +302,4 @@ def transition_density(w, a, t: float) -> float:
     transition_density(w, a, t) == transition_density(star_vector(a),
     star_vector(w), t).
     """
-    return math.exp(log_transition_density(w, a, t))
+    return _exp(log_transition_density(w, a, t))

@@ -66,15 +66,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densities import (
-    _a_inverse_float,
-    _drift,
-    _half_powers,
-    _lambda_root,
-    _log_transition_density,
-    star_vector,
-)
-from .exact import _check_nonnegative, _check_real
+from .densities import _drift, _half_powers, _log_transition_density, _readonly, star_vector
+from .exact import _check_nonnegative, _check_real, a_inverse_matrix
 
 # Bytes of normals the Laplace suite holds at once, all workers together;
 # paths per block follow from the grid and the worker count, so its memory
@@ -91,6 +84,16 @@ _MAX_LOG_TIME = 700.0
 # The kernel divides by d! as a float for d up to the order; 171! is beyond
 # the float range.
 _MAX_ORDER = 170
+
+
+@lru_cache(maxsize=None)
+def _a_inverse_float(n: int) -> np.ndarray:
+    return _readonly(np.array(a_inverse_matrix(n), dtype=float))
+
+
+@lru_cache(maxsize=None)
+def _lambda_root(n: int) -> np.ndarray:
+    return _readonly(np.sqrt(1.0 / np.arange(1, 2 * n + 2, 2, dtype=float)))
 
 
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
@@ -634,10 +637,11 @@ def mc_transition_symmetry(n: int, trials: int, seed: int) -> dict:
     Random probes are drawn from the process's own law so they sit in the
     density's typical set: a ~ N(0, R(t)) and w a genuine transition from a
     over lag t, with t log-uniform on [0.1, 10].  The statistic, the largest
-    relative gap of the two log densities, is exactly 0.0: with T = T(t) and S
-    the sign flips, A T S a = S A* T a, so the flipped side repeats the forward
-    arithmetic up to exact sign flips.  It catches a defect that breaks that
-    sign structure, not an inaccuracy.
+    relative gap of the two log densities, is exactly 0.0: each side's
+    quadratic form is formed exactly from its float inputs and rounded once,
+    and the two exact forms are equal, because with T = T(t) and S the sign
+    flips, A T S a = S A* T a and S is exact on floats.  It catches a defect
+    in the form's sign structure or in the probe loop, not an inaccuracy.
     """
     n = _check_nonnegative(n)
     if n > 6:

@@ -6,9 +6,9 @@ elimination, and the spectral closed forms are checked against adaptive
 QUADPACK quadrature rather than against the residue calculus they came
 from.  The samplers' cumulative-sum kernel is checked against the plain
 step-by-step recursion.  The integer fast paths of the exact layer (rho_matrix,
-mat_mul), the float conversion in CorrelationExpansion, the float tables of
-the density layer and the sample CSV writer are checked against the plain
-Fraction and per-value code they replaced.  rho_matrix's Cauchy form is
+mat_mul), the float conversion in CorrelationExpansion, the integer tables
+and quadratic forms of the density layer and the sample CSV writer are
+checked against plain Fraction and per-value code.  rho_matrix's Cauchy form is
 checked against every form it replaced: the Fraction sum, Choi's binomial
 sum and Choi's product of binomials.
 """
@@ -249,19 +249,63 @@ def mat_mul_fraction_loop(x, y):
 
 
 def a_lambda_a_by_products(n):
-    """A' Lambda A as two exact Fraction products, then converted to float."""
+    """A' Lambda A as two exact Fraction products."""
     from ibrownian import exact
 
     a = exact.a_matrix(n)
-    m = exact.mat_mul(exact.transpose(a), exact.mat_mul(exact.lambda_matrix(n), a))
-    return np.array(m, dtype=float)
+    return exact.mat_mul(exact.transpose(a), exact.mat_mul(exact.lambda_matrix(n), a))
 
 
-def a_star_by_star(n):
-    """A* as the sign flip star(A) of the exact A, then converted to float."""
+def fraction_half_form(w, a, t, first=0):
+    """0.5 sum_{m >= first} (2m+1) y_m^2 for y = A T(t) w - A* T(t) a, in Fractions.
+
+    The float inputs are read as exact rationals; y_m^2 is
+    t^-1 (sum_k A[m][k] t^-k (w_k - (-1)^(m+k) a_k))^2, so no square root of t
+    is formed.  Checked against the dense fraction_transition_form.
+    """
     from ibrownian import exact
 
-    return np.array(exact.star(exact.a_matrix(n)), dtype=float)
+    n = len(w) - 1
+    tf = Fraction(t)
+    a_rows = exact.a_matrix(n)
+    # T w - (-1)^k T a and T w + (-1)^k T a without the common t^-1/2: rows
+    # m of even and of odd parity.
+    tw = [tf**-k * Fraction(x) for k, x in enumerate(w)]
+    ta = [(-tf) ** -k * Fraction(x) for k, x in enumerate(a)]
+    sides = [x - y for x, y in zip(tw, ta)], [x + y for x, y in zip(tw, ta)]
+    total = Fraction(0)
+    for m in range(first, n + 1):
+        s = sum(a_rows[m][k] * sides[m % 2][k] for k in range(m + 1))
+        total += (2 * m + 1) * s * s
+    return total / (2 * tf)
+
+
+def fraction_transition_form(w, a, t):
+    """0.5 (w - B(t) a)' R^-1(t) (w - B(t) a) in Fractions, from the dense inverse
+    R^-1(t)[j][k] = t^-(j+k+1) j! k! rho[j][k] and the drift B(t)[j][k] = t^(j-k)/(j-k)!,
+    so nothing is shared with the factored A route."""
+    from ibrownian import exact
+
+    n = len(w) - 1
+    tf, f = Fraction(t), math.factorial
+    rho = exact.rho_matrix(n)
+    diff = [
+        Fraction(w[j]) - sum(tf ** (j - k) / f(j - k) * Fraction(a[k]) for k in range(j + 1))
+        for j in range(n + 1)
+    ]
+    return sum(
+        diff[j] * diff[k] * tf ** -(j + k + 1) * f(j) * f(k) * rho[j][k]
+        for j in range(n + 1)
+        for k in range(n + 1)
+    ) / 2
+
+
+def rounded(x):
+    """The nearest double to a Fraction, inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def expansion_at_per_call(expansion, tau):

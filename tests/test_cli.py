@@ -310,6 +310,12 @@ class TestDensity:
         assert err == ""
         assert json.loads(out) == {"log_density": -math.inf, "density": 0.0}
 
+    def test_tiny_time_is_minus_inf_without_warning(self, capsys):
+        # t^-(k+1/2) is beyond the float range at t = 1e-300, but no power of
+        # t is formed: the exact form is, and it is beyond the float range.
+        code, out, err = run_cli(capsys, "density", "--t", "1e-300", "--w", "1,1")
+        assert (code, out, err) == (EXIT_OK, '{"log_density": -Infinity, "density": 0.0}\n', "")
+
 
 class TestCorrelate:
     def test_csv_table(self, capsys):

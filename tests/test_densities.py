@@ -1,11 +1,12 @@
 """Density layer: covariances, factored inverse, conditionals, transitions."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
@@ -31,9 +32,11 @@ from ibrownian.sampling import covariance_root
 from ibrownian.spectral import cross_correlation, sigma_sq
 from oracles import (
     a_lambda_a_by_products,
-    a_star_by_star,
     fraction_covariance,
+    fraction_half_form,
+    fraction_transition_form,
     gaussian_log_density,
+    rounded,
 )
 
 F = Fraction
@@ -41,6 +44,28 @@ F = Fraction
 finite_states = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=1, max_size=6
 )
+
+# The whole positive float range, and the whole finite range for a state
+# entry (zeros and subnormals included); the moderate ranges keep some
+# forms inside the float range.
+any_times = st.floats(min_value=5e-324, max_value=1e308) | st.floats(
+    min_value=0.05, max_value=20.0
+)
+any_entries = st.floats(min_value=-1e308, max_value=1e308) | st.floats(
+    min_value=-4.0, max_value=4.0
+)
+
+
+@st.composite
+def any_states(draw, count):
+    """count states of one order from 0 to 30."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    return [draw(st.lists(any_entries, min_size=n + 1, max_size=n + 1)) for _ in range(count)]
+
+
+def log_scale(n, t):
+    """The terms of a log density at horizon or lag t besides its quadratic form."""
+    return -0.5 * (n + 1) ** 2 * math.log(t) + densities._log_k(n)
 
 
 def law_probe(n, t, rng):
@@ -143,22 +168,36 @@ class TestRInverse:
             r_inverse(2, -0.5)
 
     def test_tables_are_the_fraction_products_bit_for_bit(self):
-        # A' Lambda A is read as j! k! rho[j][k] from rho_matrix's integers and
-        # A* as b_matrix; the Fraction products they replaced give the same
-        # bits up to n = 74, the last order whose A' Lambda A fits in a float.
+        # A' Lambda A is read as j! k! rho[j][k] from rho_matrix's integers;
+        # the two Fraction products give the same integers.
         for n in range(75):
-            for table, oracle in [
-                (densities._a_lambda_a_float(n), a_lambda_a_by_products(n)),
-                (densities._a_star_float(n), a_star_by_star(n)),
-            ]:
-                assert table.shape == oracle.shape and table.tobytes() == oracle.tobytes(), n
+            products = [[int(v) for v in row] for row in a_lambda_a_by_products(n)]
+            assert [list(row) for row in densities._a_lambda_a(n)] == products, n
 
     @pytest.mark.parametrize("n", range(75, 81))
     def test_a_lambda_a_beyond_the_float_range_overflows_on_both_routes(self, n):
+        # From n = 75 on, A' Lambda A has entries beyond the float range.
+        with pytest.raises(ValueError, match="beyond the float range"):
+            r_inverse(n, 1.0)
         with pytest.raises(OverflowError):
-            densities._a_lambda_a_float(n)
-        with pytest.raises(OverflowError):
-            a_lambda_a_by_products(n)
+            np.array(a_lambda_a_by_products(n), dtype=float)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=30), t=any_times)
+    @example(n=3, t=1e-300)
+    def test_each_entry_is_the_rounded_fraction_entry(self, n, t):
+        # Every entry is the nearest double to t^-(j+k+1) j! k! rho[j][k], or,
+        # when one is beyond the float range, r_inverse raises ValueError.
+        rho, f = exact.rho_matrix(n), math.factorial
+        expected = [
+            [rounded(Fraction(t) ** -(j + k + 1) * f(j) * f(k) * rho[j][k]) for k in range(n + 1)]
+            for j in range(n + 1)
+        ]
+        if any(math.isinf(v) for row in expected for v in row):
+            with pytest.raises(ValueError):
+                r_inverse(n, t)
+        else:
+            assert r_inverse(n, t).tolist() == expected
 
 
 class TestDriftAndMean:
@@ -217,6 +256,11 @@ class TestTimeScaling:
         with pytest.raises(ValueError):
             TimeScaling(-1, 1.0)
 
+    @pytest.mark.parametrize("t,method", [(1e-5, "diag"), (1e5, "inverse_diag")])
+    def test_power_beyond_the_float_range_is_value_error(self, t, method):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            getattr(TimeScaling(300, t), method)()
+
 
 class TestStationaryDensity:
     def test_order0_peak(self):
@@ -259,13 +303,25 @@ class TestStationaryDensity:
 
     @pytest.mark.parametrize("x", [[0.3, -0.7, 1.1], [1e-160, 2e-160], [3e150, -1e150]])
     def test_power_of_two_scaling_does_not_move_bits(self, x):
-        # The quadratic form is evaluated at a power-of-two scale, which is
-        # exact: compare with the plain unscaled formula, bit for bit.
-        y = np.array(exact.a_matrix(len(x) - 1), dtype=float) @ np.asarray(x)
-        lam = np.arange(1, 2 * len(x), 2, dtype=float)
-        plain = -0.5 * float(y @ (lam * y))
-        zero = log_stationary_density([0.0] * len(x))
-        assert log_stationary_density(x) == zero + plain
+        # The states are read as integers over one power-of-two denominator,
+        # which is exact, also near the ends of the float range: the form is
+        # the exact Fraction form rounded once. ([3e150, -1e150] is where the
+        # plain float formula, -4.2e+301, is not correctly rounded.)
+        form = rounded(fraction_half_form(x, [0.0] * len(x), 1.0))
+        assert log_stationary_density(x) == densities._log_k(len(x) - 1) - form
+
+    @settings(max_examples=40, deadline=None)
+    @given(states=any_states(1))
+    def test_form_is_the_rounded_fraction_form(self, states):
+        (x,) = states
+        zero = [0.0] * len(x)
+        form = rounded(fraction_half_form(x, zero, 1.0))
+        assert log_stationary_density(x) == densities._log_k(len(x) - 1) - form
+
+    def test_value_beyond_the_float_range_is_value_error(self):
+        # normalizing_k(22), the peak at order 22, is about 1e338.
+        with pytest.raises(ValueError, match="beyond the float range"):
+            stationary_density([0.0] * 23)
 
 
 class TestConditionalDensity:
@@ -298,6 +354,36 @@ class TestConditionalDensity:
             )
         assert conditional_density(center, prefix) > conditional_density(center + 0.2, prefix)
 
+    @settings(max_examples=40, deadline=None)
+    @given(states=any_states(1))
+    def test_form_is_the_rounded_fraction_row(self, states):
+        # Row n of the stationary quadratic form: the gain n!/(2n)! of the
+        # projection residual cancels against sigma_n^2.
+        (x,) = states
+        n = len(x) - 1
+        s2 = sigma_sq(n)
+        log_s2 = math.log(s2.numerator) - math.log(s2.denominator)
+        normal = -0.5 * (math.log(2.0 * math.pi) + log_s2)
+        form = rounded(fraction_half_form(x, [0.0] * (n + 1), 1.0, first=n))
+        assert log_conditional_density(x[-1], x[:-1]) == normal - form
+
+    @pytest.mark.parametrize("n", [78, 80])
+    def test_orders_whose_variance_is_below_the_float_range(self, n):
+        # sigma_n^2 is below the smallest double from n = 78; its log is taken
+        # from its integers.  At x = 0.1 the form is about 1e321 (n = 78) or
+        # 1e331 (n = 80), beyond the float range.
+        s2 = sigma_sq(n)
+        log_s2 = math.log(s2.numerator) - math.log(s2.denominator)
+        peak = -0.5 * (math.log(2.0 * math.pi) + log_s2)
+        assert 370.0 < log_conditional_density(0.0, [0.0] * n) == peak
+        assert log_conditional_density(0.1, [0.1] * n) == -math.inf
+        assert conditional_density(0.1, [0.1] * n) == 0.0
+
+    def test_value_beyond_the_float_range_is_value_error(self):
+        # The peak -log(2 pi sigma_n^2)/2 passes 709.8 near n = 140.
+        with pytest.raises(ValueError, match="beyond the float range"):
+            conditional_density(0.0, [0.0] * 150)
+
 
 class TestNormalizingK:
     def test_order0(self):
@@ -305,6 +391,11 @@ class TestNormalizingK:
 
     def test_order1(self):
         assert normalizing_k(1) == pytest.approx(0.5513288954217921, rel=1e-13)
+
+    def test_beyond_the_float_range_is_value_error(self):
+        assert normalizing_k(21) < 1e308
+        with pytest.raises(ValueError, match="beyond the float range"):
+            normalizing_k(22)
 
     @pytest.mark.parametrize("n", range(11))
     def test_closed_form_matches_sigma_product(self, n):
@@ -354,6 +445,27 @@ class TestDensityW:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             density_w([0.0], 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=any_times, states=any_states(1))
+    def test_form_is_the_rounded_fraction_form(self, t, states):
+        (w,) = states
+        n = len(w) - 1
+        form = rounded(fraction_half_form(w, [0.0] * (n + 1), t))
+        assert log_density_w(w, t) == log_scale(n, t) - form
+
+    def test_law_draw_at_order_24(self):
+        # One draw from the law at t = 0.7; its exact form, from the dense
+        # inverse covariance, rounds to the value the factored form gives.
+        n, t = 24, 0.7
+        w = covariance_root(n, t) @ np.random.default_rng(0).standard_normal(n + 1)
+        got = log_density_w(w, t)
+        assert got == log_scale(n, t) - float(fraction_transition_form(w, [0.0] * (n + 1), t))
+        assert got == pytest.approx(1047.7188327, rel=1e-9)
+
+    def test_value_beyond_the_float_range_is_value_error(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            density_w([0.0, 0.0], 1e-300)
 
 
 class TestTransitionDensity:
@@ -438,6 +550,65 @@ class TestTransitionDensity:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             transition_density([0.0], [0.0], -2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=any_times, states=any_states(2))
+    @example(t=1e-300, states=[[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    def test_form_is_the_rounded_fraction_form(self, t, states):
+        w, a = states
+        form = rounded(fraction_half_form(w, a, t))
+        assert log_transition_density(w, a, t) == log_scale(len(w) - 1, t) - form
+
+    def test_the_two_fraction_oracles_are_one_rational(self):
+        # The factored A route and the dense R^-1(t), B(t) route share nothing
+        # but the exact layer, and give the same rational.
+        rng = np.random.default_rng(31)
+        for n in range(9):
+            t = float(10.0 ** rng.uniform(-2.0, 1.0))
+            w, a = rng.standard_normal((2, n + 1)).tolist()
+            assert fraction_half_form(w, a, t) == fraction_transition_form(w, a, t), n
+
+    @pytest.mark.parametrize(
+        "n,start,lag,seed,value",
+        [(6, 1.0, 0.01, 2, 150.1761798), (8, 2.5, 0.1, 1, 168.5430967)],
+    )
+    def test_short_lag_from_a_law_draw(self, n, start, lag, seed, value):
+        # a is the state at time start and w the state a lag later.  A T w
+        # and A* T a cancel to many digits here, so only a form taken exactly
+        # gets the log density right; the dense inverse route must agree.
+        rng = np.random.default_rng(seed)
+        a = covariance_root(n, start) @ rng.standard_normal(n + 1)
+        w = drift_matrix(n, lag) @ a + covariance_root(n, lag) @ rng.standard_normal(n + 1)
+        got = log_transition_density(w, a, lag)
+        assert got == log_scale(n, lag) - float(fraction_transition_form(w, a, lag))
+        assert got == pytest.approx(value, rel=1e-9)
+
+    def test_value_beyond_the_float_range_is_value_error(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            transition_density([0.0, 0.0], [0.0, 0.0], 1e-300)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: log_transition_density([1, 1, 1], [0, 0, 0], 1e-300),
+        lambda: r_inverse(3, 1e-300),
+        lambda: r_inverse(75, 1.0),
+        lambda: log_density_w([0.1] * 201, 1.0),
+        lambda: log_stationary_density([0.1] * 201),
+        lambda: normalizing_k(22),
+        lambda: TimeScaling(300, 1e-5).diag(),
+    ],
+    ids=["transition-tiny-lag", "r_inverse-tiny-t", "r_inverse-75", "density_w-200",
+         "stationary-200", "normalizing_k-22", "time-scaling-300"],
+)
+def test_extreme_inputs_give_a_value_or_value_error_without_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except ValueError:
+            pass
 
 
 class TestTimeScalingCovarianceLink:
